@@ -4,7 +4,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 VETTOOL := bin/coolpim-vet
 
-.PHONY: all build test vet lint lint-fixtures race bench bench-json bench-smoke figs-check accuracy-check sweep-smoke obs-smoke serve-smoke clean
+.PHONY: all build test vet lint lint-fixtures race bench bench-json bench-smoke figs-check sweep-smoke obs-smoke serve-smoke clean
 
 # Default: a tree that builds, passes the static-analysis suite, and
 # passes the tests — in that order, so lint failures surface fast.
@@ -57,8 +57,8 @@ bench:
 # comparison against the previous one is the review artifact.
 BENCH_NEXT := $(shell n=$$(ls BENCH_[0-9]*.json 2>/dev/null | wc -l); echo $$((n+1)))
 BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput)$$
-BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkFastSolve|BenchmarkStepFast)$$
-BENCH_COUPLER := ^BenchmarkApplyPowerTick(Adaptive)?$$
+BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady)$$
+BENCH_COUPLER := ^BenchmarkApplyPowerTick$$
 BENCH_CLUSTER := ^(BenchmarkShardedEngine|BenchmarkMultiCubeSystem)$$
 
 bench-json:
@@ -87,15 +87,6 @@ bench-smoke:
 figs-check:
 	$(GO) run ./cmd/figures -exp fig14 -profile paper | diff -u results_fig14.txt - \
 		&& echo "results_fig14.txt up to date"
-
-# accuracy-check re-runs the epsilon-bounded adaptive-vs-exact harness
-# (DESIGN.md §6c) at campaign scale: the full paper-profile matrix plus
-# the Fig. 14 series under both thermal tiers, asserting the pinned
-# figure-quantity tolerances. Slow (two full campaigns); figs-check
-# remains the byte-identity guard for the committed exact-tier outputs.
-accuracy-check:
-	COOLPIM_ACCURACY_PROFILE=paper $(GO) test ./internal/experiments \
-		-run '^(TestAdaptiveMatrixWithinEpsilon|TestFig14AdaptiveWithinEpsilon)$$' -v -timeout 120m
 
 # sweep-smoke exercises the fault-tolerant campaign runner end to end:
 # a TestProfile 2x2 matrix through coolpim-sweep, killed after two runs

@@ -53,7 +53,6 @@ func main() {
 	binder := specflag.New()
 	binder.SingleRun(flag.CommandLine)
 	binder.Cooling(flag.CommandLine)
-	binder.Thermal(flag.CommandLine)
 	binder.Network(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write the telemetry event trace as JSONL to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file")

@@ -55,7 +55,6 @@ func run() int {
 	binder.Profile(flag.CommandLine)
 	binder.Matrix(flag.CommandLine)
 	binder.Runner(flag.CommandLine)
-	binder.Thermal(flag.CommandLine)
 	binder.Network(flag.CommandLine)
 	ledgerPath := flag.String("ledger", "", "JSONL run ledger path (enables checkpointing)")
 	resume := flag.Bool("resume", false, "reuse completed runs from the ledger (requires -ledger)")

@@ -36,7 +36,6 @@ func main() {
 	// ends; the figure/experiment selection flags stay local.
 	binder := specflag.New()
 	binder.Profile(flag.CommandLine)
-	binder.Thermal(flag.CommandLine)
 	binder.Network(flag.CommandLine)
 	exp := flag.String("exp", "", "experiment id (table1..table4, fig1..fig5, fig10..fig14)")
 	all := flag.Bool("all", false, "run everything")

@@ -12,7 +12,6 @@ import (
 	"coolpim/internal/core"
 	"coolpim/internal/hmc"
 	"coolpim/internal/kernels"
-	"coolpim/internal/system"
 	"coolpim/internal/thermal"
 	"coolpim/internal/units"
 )
@@ -49,10 +48,6 @@ type CampaignSpec struct {
 
 	// Cooling overrides the profile's cooling solution ("" keeps it).
 	Cooling string `json:"cooling,omitempty"`
-	// ThermalMode selects the coupling tier ("" = exact).
-	ThermalMode          string  `json:"thermal_mode,omitempty"`
-	PowerDeltaW          float64 `json:"power_delta_w,omitempty"`
-	MaxThermalIntervalNs int64   `json:"max_thermal_interval_ns,omitempty"`
 
 	// Multi-cube network (Cubes 0 or 1 = single cube).
 	Cubes         int    `json:"cubes,omitempty"`
@@ -97,9 +92,6 @@ func ProfileNames() []string { return []string{"paper", "full", "quick", "test"}
 // are how Validate rejects nonsense.
 func (s CampaignSpec) Normalized() CampaignSpec {
 	n := s
-	if n.ThermalMode == "" {
-		n.ThermalMode = "exact"
-	}
 	if n.Cubes == 0 {
 		n.Cubes = 1
 	}
@@ -162,17 +154,6 @@ func (s CampaignSpec) Validate() error {
 		if _, err := thermal.ParseCooling(s.Cooling); err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
-	}
-	if s.ThermalMode != "" {
-		if _, err := system.ParseThermalMode(s.ThermalMode); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
-	if s.PowerDeltaW < 0 {
-		return fmt.Errorf("spec: power_delta_w must be non-negative (got %g)", s.PowerDeltaW)
-	}
-	if s.MaxThermalIntervalNs < 0 {
-		return fmt.Errorf("spec: max_thermal_interval_ns must be non-negative (got %d)", s.MaxThermalIntervalNs)
 	}
 	if s.LinkLatencyNs < 0 {
 		return fmt.Errorf("spec: link_latency_ns must be non-negative (got %d)", s.LinkLatencyNs)
@@ -268,13 +249,6 @@ func (s CampaignSpec) BuildProfile() (Profile, error) {
 		}
 		prof.Sys.Cooling = cool
 	}
-	mode, err := system.ParseThermalMode(n.ThermalMode)
-	if err != nil {
-		return Profile{}, err
-	}
-	prof.Sys.ThermalMode = mode
-	prof.Sys.PowerDeltaThreshold = units.Watt(n.PowerDeltaW)
-	prof.Sys.MaxThermalInterval = units.FromNanoseconds(float64(n.MaxThermalIntervalNs))
 	net, err := hmc.FlagConfig(n.Cubes, n.Topology,
 		units.FromNanoseconds(float64(n.LinkLatencyNs)), n.Shards)
 	if err != nil {

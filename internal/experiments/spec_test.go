@@ -9,7 +9,6 @@ import (
 
 	"coolpim/internal/core"
 	"coolpim/internal/hmc"
-	"coolpim/internal/system"
 	"coolpim/internal/units"
 )
 
@@ -39,9 +38,6 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown workload", func(s *CampaignSpec) { s.Workloads = []string{"dc", "mining"} }, `unknown workload "mining"`},
 		{"unknown policy", func(s *CampaignSpec) { s.Policies = []string{"overclock"} }, "overclock"},
 		{"unknown cooling", func(s *CampaignSpec) { s.Cooling = "liquid-helium" }, "liquid-helium"},
-		{"unknown thermal mode", func(s *CampaignSpec) { s.ThermalMode = "sloppy" }, "sloppy"},
-		{"negative power delta", func(s *CampaignSpec) { s.PowerDeltaW = -0.5 }, "power_delta_w"},
-		{"negative thermal interval", func(s *CampaignSpec) { s.MaxThermalIntervalNs = -1 }, "max_thermal_interval_ns"},
 		{"negative link latency", func(s *CampaignSpec) { s.LinkLatencyNs = -1 }, "link_latency_ns"},
 		{"negative cubes", func(s *CampaignSpec) { s.Cubes = -4 }, "cube count"},
 		{"unknown topology", func(s *CampaignSpec) { s.Cubes = 4; s.Topology = "torus" }, "torus"},
@@ -95,7 +91,7 @@ func TestSpecCanonicalJSONRoundTrip(t *testing.T) {
 
 	// Defaults spelled out vs left implicit: same canonical bytes.
 	implicit := CampaignSpec{Profile: "test"}
-	explicit := CampaignSpec{Profile: "test", Cubes: 1, Topology: "chain", ThermalMode: "exact"}
+	explicit := CampaignSpec{Profile: "test", Cubes: 1, Topology: "chain"}
 	bi, err := implicit.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +126,7 @@ func TestSpecCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 		func(s *CampaignSpec) { s.BackoffNs = int64(5 * time.Second) },
 		func(s *CampaignSpec) { s.FailFast = true },
 		func(s *CampaignSpec) { s.InterruptAfter = 1 },
-		func(s *CampaignSpec) { s.ThermalMode = "exact" }, // normalization default, spelled out
+		func(s *CampaignSpec) { s.Cubes = 1 }, // normalization default, spelled out
 	}
 	for i, mut := range same {
 		s := base
@@ -164,9 +160,6 @@ func TestSpecCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 		func(s *CampaignSpec) { s.Workloads = []string{"pagerank"} },
 		func(s *CampaignSpec) { s.Policies = []string{"coolpim-hw"} },
 		func(s *CampaignSpec) { s.Cooling = "high-end" },
-		func(s *CampaignSpec) { s.ThermalMode = "adaptive" },
-		func(s *CampaignSpec) { s.PowerDeltaW = 0.25 },
-		func(s *CampaignSpec) { s.MaxThermalIntervalNs = int64(time.Millisecond) },
 		func(s *CampaignSpec) { s.Cubes = 2 },
 		func(s *CampaignSpec) { s.LinkLatencyNs = 100 },
 	}
@@ -188,19 +181,11 @@ func TestSpecCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 // refactor (copied here verbatim): same profile, same hash, so every
 // pre-existing resume ledger stays valid.
 func TestSpecBuildProfileMatchesLegacyConstruction(t *testing.T) {
-	legacy := func(name string, thermalMode string, powerDelta float64, maxInterval time.Duration,
-		cubes int, topology string, linkLatency time.Duration, shards int) Profile {
+	legacy := func(name string, cubes int, topology string, linkLatency time.Duration, shards int) Profile {
 		prof, ok := ProfileByName(name)
 		if !ok {
 			t.Fatalf("unknown profile %q", name)
 		}
-		mode, err := system.ParseThermalMode(thermalMode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof.Sys.ThermalMode = mode
-		prof.Sys.PowerDeltaThreshold = units.Watt(powerDelta)
-		prof.Sys.MaxThermalInterval = units.FromNanoseconds(float64(maxInterval.Nanoseconds()))
 		net, err := hmc.FlagConfig(cubes, topology,
 			units.FromNanoseconds(float64(linkLatency.Nanoseconds())), shards)
 		if err != nil {
@@ -215,11 +200,11 @@ func TestSpecBuildProfileMatchesLegacyConstruction(t *testing.T) {
 		want Profile
 	}{
 		{"defaults", CampaignSpec{Profile: "paper"},
-			legacy("paper", "exact", 0, 0, 1, "chain", 0, 0)},
-		{"adaptive knobs", CampaignSpec{Profile: "quick", ThermalMode: "adaptive", PowerDeltaW: 0.5, MaxThermalIntervalNs: int64(2 * time.Millisecond)},
-			legacy("quick", "adaptive", 0.5, 2*time.Millisecond, 1, "chain", 0, 0)},
+			legacy("paper", 1, "chain", 0, 0)},
+		{"quick profile", CampaignSpec{Profile: "quick"},
+			legacy("quick", 1, "chain", 0, 0)},
 		{"multi-cube", CampaignSpec{Profile: "test", Cubes: 4, Topology: "ring", LinkLatencyNs: int64(40 * time.Nanosecond), Shards: 2},
-			legacy("test", "exact", 0, 0, 4, "ring", 40*time.Nanosecond, 2)},
+			legacy("test", 4, "ring", 40*time.Nanosecond, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

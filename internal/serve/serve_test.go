@@ -114,7 +114,7 @@ func TestSyncSubmitExecutesOnceAndMemoizes(t *testing.T) {
 	// A semantically identical spec written differently (explicit
 	// defaults, different execution knobs) is the same cache entry.
 	resp3, body3 := post(t, ts.URL+"/v1/runs",
-		`{"profile":"test","workloads":["dc"],"policies":["baseline"],"parallel":4,"retries":2,"thermal_mode":"exact"}`, nil)
+		`{"profile":"test","workloads":["dc"],"policies":["baseline"],"parallel":4,"retries":2,"cubes":1,"topology":"chain"}`, nil)
 	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("equivalent spec: %d X-Cache=%q", resp3.StatusCode, resp3.Header.Get("X-Cache"))
 	}
@@ -190,6 +190,10 @@ func TestInvalidSubmissionsRejected(t *testing.T) {
 	for _, body := range []string{
 		`not json`,
 		`{"profile":"test","bogus_field":1}`,
+		// Removed thermal-tier fields are unknown, not ignored.
+		`{"profile":"test","thermal_mode":"exact"}`,
+		`{"profile":"test","power_delta_w":0.5}`,
+		`{"profile":"test","max_thermal_interval_ns":1000}`,
 		`{"profile":"no-such-profile"}`,
 		`{"profile":"test","retries":-1}`,
 		`{"profile":"test","parallel":-2}`,

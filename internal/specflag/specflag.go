@@ -47,10 +47,6 @@ type Binder struct {
 	cooling    string
 	hasCooling bool
 
-	thermalMode        string
-	powerDelta         float64
-	maxThermalInterval time.Duration
-
 	cubes       int
 	topology    string
 	linkLatency time.Duration
@@ -101,14 +97,6 @@ func (b *Binder) Cooling(fs *flag.FlagSet) {
 	fs.StringVar(&b.cooling, "cooling", "commodity", "cooling: "+strings.Join(thermal.CoolingNames(), ", "))
 }
 
-// Thermal registers the thermal-coupling tier knobs: -thermal-mode,
-// -power-delta, -max-thermal-interval.
-func (b *Binder) Thermal(fs *flag.FlagSet) {
-	fs.StringVar(&b.thermalMode, "thermal-mode", "exact", "thermal coupling tier: exact (bit-identical outputs) or adaptive (interval-based, epsilon-bounded, faster)")
-	fs.Float64Var(&b.powerDelta, "power-delta", 0, "adaptive tier: per-vault-cell power change in watts that forces an immediate exact solve (0 = built-in default)")
-	fs.DurationVar(&b.maxThermalInterval, "max-thermal-interval", 0, "adaptive tier: cap on the coalesced solve window, simulated time (0 = built-in default)")
-}
-
 // Network registers the multi-cube network knobs: -cubes, -topology,
 // -link-latency, -shards.
 func (b *Binder) Network(fs *flag.FlagSet) {
@@ -146,16 +134,13 @@ func splitList(s string) []string {
 // the same error the HTTP server would return for the equivalent JSON.
 func (b *Binder) Spec() (experiments.CampaignSpec, error) {
 	s := experiments.CampaignSpec{
-		Profile:              b.profile,
-		Workloads:            splitList(b.workloadsCSV),
-		Policies:             splitList(b.policiesCSV),
-		ThermalMode:          b.thermalMode,
-		PowerDeltaW:          b.powerDelta,
-		MaxThermalIntervalNs: b.maxThermalInterval.Nanoseconds(),
-		Cubes:                b.cubes,
-		Topology:             b.topology,
-		LinkLatencyNs:        b.linkLatency.Nanoseconds(),
-		Shards:               b.shards,
+		Profile:       b.profile,
+		Workloads:     splitList(b.workloadsCSV),
+		Policies:      splitList(b.policiesCSV),
+		Cubes:         b.cubes,
+		Topology:      b.topology,
+		LinkLatencyNs: b.linkLatency.Nanoseconds(),
+		Shards:        b.shards,
 	}
 	if b.singleRun {
 		// coolpim-sim describes its graph explicitly; the profile field

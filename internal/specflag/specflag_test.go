@@ -2,6 +2,7 @@ package specflag
 
 import (
 	"flag"
+	"io"
 	"runtime"
 	"strconv"
 	"testing"
@@ -16,24 +17,18 @@ import (
 )
 
 // legacySweepProfile is the pre-refactor cmd/coolpim-sweep profile
-// construction, copied verbatim (modulo error plumbing). The parity
+// construction, copied verbatim (modulo error plumbing and the since
+// removed thermal-tier knobs). The parity
 // tests below pin that a spec built from the same flag values produces
 // a profile with the identical config hash — the property that keeps
 // every pre-existing resume ledger valid across the refactor.
-func legacySweepProfile(t *testing.T, profileName, thermalMode string, powerDelta float64,
-	maxThermalInterval time.Duration, cubes int, topology string, linkLatency time.Duration, shards int) experiments.Profile {
+func legacySweepProfile(t *testing.T, profileName string,
+	cubes int, topology string, linkLatency time.Duration, shards int) experiments.Profile {
 	t.Helper()
 	prof, ok := experiments.ProfileByName(profileName)
 	if !ok {
 		t.Fatalf("unknown profile %q", profileName)
 	}
-	mode, err := system.ParseThermalMode(thermalMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof.Sys.ThermalMode = mode
-	prof.Sys.PowerDeltaThreshold = units.Watt(powerDelta)
-	prof.Sys.MaxThermalInterval = units.FromNanoseconds(float64(maxThermalInterval.Nanoseconds()))
 	net, err := hmc.FlagConfig(cubes, topology,
 		units.FromNanoseconds(float64(linkLatency.Nanoseconds())), shards)
 	if err != nil {
@@ -43,23 +38,17 @@ func legacySweepProfile(t *testing.T, profileName, thermalMode string, powerDelt
 }
 
 // legacySimConfig is the pre-refactor cmd/coolpim-sim system.Config
-// construction, copied verbatim.
-func legacySimConfig(t *testing.T, scale int, cooling, thermalMode string, powerDelta float64,
-	maxThermalInterval time.Duration, cubes int, topology string, linkLatency time.Duration, shards int) system.Config {
+// construction, copied verbatim (minus the since removed thermal-tier
+// knobs).
+func legacySimConfig(t *testing.T, scale int, cooling string,
+	cubes int, topology string, linkLatency time.Duration, shards int) system.Config {
 	t.Helper()
 	cool, err := thermal.ParseCooling(cooling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode, err := system.ParseThermalMode(thermalMode)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := experiments.ScaledConfig(scale)
 	cfg.Cooling = cool
-	cfg.ThermalMode = mode
-	cfg.PowerDeltaThreshold = units.Watt(powerDelta)
-	cfg.MaxThermalInterval = units.FromNanoseconds(float64(maxThermalInterval.Nanoseconds()))
 	cfg.Net, err = hmc.FlagConfig(cubes, topology,
 		units.FromNanoseconds(float64(linkLatency.Nanoseconds())), shards)
 	if err != nil {
@@ -73,7 +62,6 @@ func sweepBinder(fs *flag.FlagSet) *Binder {
 	b.Profile(fs)
 	b.Matrix(fs)
 	b.Runner(fs)
-	b.Thermal(fs)
 	b.Network(fs)
 	return b
 }
@@ -82,7 +70,6 @@ func simBinder(fs *flag.FlagSet) *Binder {
 	b := New()
 	b.SingleRun(fs)
 	b.Cooling(fs)
-	b.Thermal(fs)
 	b.Network(fs)
 	return b
 }
@@ -96,9 +83,8 @@ func TestSweepFlagParity(t *testing.T) {
 		argv []string
 	}{
 		{"defaults", nil},
-		{"adaptive multi-cube", []string{
-			"-profile", "test", "-thermal-mode", "adaptive", "-power-delta", "0.5",
-			"-max-thermal-interval", "2ms", "-cubes", "4", "-topology", "ring",
+		{"multi-cube", []string{
+			"-profile", "test", "-cubes", "4", "-topology", "ring",
 			"-link-latency", "40ns", "-shards", "2",
 		}},
 		{"exec knobs", []string{
@@ -123,9 +109,6 @@ func TestSweepFlagParity(t *testing.T) {
 			}
 			legacy := legacySweepProfile(t,
 				fs.Lookup("profile").Value.String(),
-				fs.Lookup("thermal-mode").Value.String(),
-				mustFloat(t, fs.Lookup("power-delta").Value.String()),
-				mustDuration(t, fs.Lookup("max-thermal-interval").Value.String()),
 				mustInt(t, fs.Lookup("cubes").Value.String()),
 				fs.Lookup("topology").Value.String(),
 				mustDuration(t, fs.Lookup("link-latency").Value.String()),
@@ -170,7 +153,7 @@ func TestSimFlagParity(t *testing.T) {
 		{"defaults", nil},
 		{"tuned", []string{
 			"-workload", "pagerank", "-policy", "coolpim-sw", "-scale", "13", "-ef", "6",
-			"-seed", "7", "-reps", "1", "-cooling", "high-end", "-thermal-mode", "adaptive",
+			"-seed", "7", "-reps", "1", "-cooling", "high-end",
 			"-cubes", "2", "-link-latency", "25ns",
 		}},
 	}
@@ -192,9 +175,6 @@ func TestSimFlagParity(t *testing.T) {
 			legacy := legacySimConfig(t,
 				mustInt(t, fs.Lookup("scale").Value.String()),
 				fs.Lookup("cooling").Value.String(),
-				fs.Lookup("thermal-mode").Value.String(),
-				mustFloat(t, fs.Lookup("power-delta").Value.String()),
-				mustDuration(t, fs.Lookup("max-thermal-interval").Value.String()),
 				mustInt(t, fs.Lookup("cubes").Value.String()),
 				fs.Lookup("topology").Value.String(),
 				mustDuration(t, fs.Lookup("link-latency").Value.String()),
@@ -231,25 +211,21 @@ func TestFlagDefaultsPinned(t *testing.T) {
 	b.Profile(fs)
 	b.Matrix(fs)
 	b.Runner(fs)
-	b.Thermal(fs)
 	b.Network(fs)
 	want := map[string]string{
-		"profile":              "paper",
-		"workloads":            "",
-		"policies":             "",
-		"parallel":             strconv.Itoa(runtime.NumCPU()),
-		"timeout":              "0s",
-		"retries":              "0",
-		"backoff":              "1s",
-		"fail-fast":            "false",
-		"interrupt-after":      "0",
-		"thermal-mode":         "exact",
-		"power-delta":          "0",
-		"max-thermal-interval": "0s",
-		"cubes":                "1",
-		"topology":             "chain",
-		"link-latency":         "0s",
-		"shards":               "0",
+		"profile":         "paper",
+		"workloads":       "",
+		"policies":        "",
+		"parallel":        strconv.Itoa(runtime.NumCPU()),
+		"timeout":         "0s",
+		"retries":         "0",
+		"backoff":         "1s",
+		"fail-fast":       "false",
+		"interrupt-after": "0",
+		"cubes":           "1",
+		"topology":        "chain",
+		"link-latency":    "0s",
+		"shards":          "0",
 	}
 	for name, def := range want {
 		f := fs.Lookup(name)
@@ -303,20 +279,28 @@ func TestBinderRejectsNonsense(t *testing.T) {
 			t.Errorf("%v: Spec() accepted nonsense", argv)
 		}
 	}
+
+	// The removed thermal-tier flags are unknown, not ignored: the
+	// commands parse with flag.ExitOnError, so they exit 2.
+	for _, argv := range [][]string{
+		{"-thermal-mode", "exact"},
+		{"-power-delta", "0.5"},
+		{"-max-thermal-interval", "2ms"},
+	} {
+		for name, bind := range map[string]func(*flag.FlagSet) *Binder{"sweep": sweepBinder, "sim": simBinder} {
+			fs := flag.NewFlagSet(name, flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			bind(fs)
+			if err := fs.Parse(argv); err == nil {
+				t.Errorf("%s %v: removed flag accepted", name, argv)
+			}
+		}
+	}
 }
 
 func mustInt(t *testing.T, s string) int {
 	t.Helper()
 	v, err := strconv.Atoi(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-func mustFloat(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestApplyPowerTickZeroAllocs(t *testing.T) {
 	now := units.Time(0)
 	tick := func() {
 		now += cfg.ThermalTick
-		temp := coupler.tick(now, cfg.ThermalTick)
+		temp := coupler.tick(cfg.ThermalTick)
 		cube.SetTemperature(now, temp)
 	}
 	tick() // warm the substep-schedule cache
@@ -91,47 +91,12 @@ func BenchmarkApplyPowerTick(b *testing.B) {
 	cfg := DefaultConfig()
 	cube, coupler := newCouplerFixture(b)
 	now := units.Time(0)
-	coupler.tick(cfg.ThermalTick, cfg.ThermalTick)
+	coupler.tick(cfg.ThermalTick)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += cfg.ThermalTick
-		temp := coupler.tick(now, cfg.ThermalTick)
+		temp := coupler.tick(cfg.ThermalTick)
 		cube.SetTemperature(now, temp)
 	}
-}
-
-// BenchmarkApplyPowerTickAdaptive measures the same closed-loop tick
-// under the adaptive coupler on quasi-static power: most iterations fold
-// energy and skip the solve, paying only the snapshot + breach check.
-// The gap to BenchmarkApplyPowerTick is the interval-coupling win.
-func BenchmarkApplyPowerTickAdaptive(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.ThermalMode = ThermalAdaptive
-	eng := sim.New()
-	space := mem.NewSpace(1 << 20)
-	cube := hmc.New(eng, space, cfg.HMC)
-	for i := 0; i < 64; i++ {
-		cube.Submit(units.Time(0), flit.Request{Cmd: flit.CmdRead64, Addr: uint64(i * 4096)},
-			func(flit.Response, units.Time) {})
-	}
-	eng.Run()
-	coupler := newThermalCoupler(cube, thermal.New(cfg.Stack, cfg.Cooling), cfg)
-	now := units.Time(0)
-	tick := func() {
-		now += cfg.ThermalTick
-		temp := coupler.tick(now, cfg.ThermalTick)
-		cube.SetTemperature(now, temp)
-	}
-	for i := 0; i < 12; i++ { // warm past cold-start so steady skip behavior is measured
-		tick()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tick()
-	}
-	st := coupler.stats()
-	b.ReportMetric(coupler.skipRate(), "skipRate")
-	b.ReportMetric(float64(st.Fast), "fastSolves")
 }

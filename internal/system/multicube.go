@@ -1,28 +1,20 @@
 package system
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"sync/atomic"
 
 	"coolpim/internal/cache"
-	"coolpim/internal/core"
-	"coolpim/internal/dram"
 	"coolpim/internal/gpu"
-	"coolpim/internal/graph"
 	"coolpim/internal/hmc"
-	"coolpim/internal/kernels"
-	"coolpim/internal/mem"
-	"coolpim/internal/sim"
 	"coolpim/internal/telemetry"
-	"coolpim/internal/thermal"
 	"coolpim/internal/units"
 )
 
-// CubeResult is one node's view of a multi-cube run: its own GPU,
-// cube, thermal stack and policy — the same observables a single-cube
-// Result reports, per node.
+// CubeResult is one node's view of a run: its own GPU, cube, thermal
+// stack and policy — the same observables a single-cube Result reports
+// (and is filled from), per node.
 type CubeResult struct {
 	Node     int
 	Runtime  units.Time
@@ -64,462 +56,44 @@ func (s *cubeSnap) counters() hmc.Counters {
 	return hmc.Counters{}
 }
 
-// nodeState is one cube node's full replica: GPU + cube + thermal
-// domain + policy + workload, all scheduled exclusively on engine
-// domain id.
-type nodeState struct {
-	id      int
-	eng     *sim.Engine
-	w       kernels.Workload
-	space   *mem.Space
-	cube    *hmc.Cube
-	dev     *gpu.GPU
-	pol     core.Policy
-	sw      *core.SWDynT
-	hw      *core.HWDynT
-	mhw     *core.MultiLevelHWDynT
-	model   *thermal.Model
-	coupler *thermalCoupler
-
-	res          CubeResult
-	finished     bool
-	prevSample   hmc.Counters
-	lastSampleAt units.Time
-	snap         cubeSnap
-	poolSize     func() int
+// publish stores the node's current counters, peak and pool size; the
+// node calls it on its thermal tick.
+func (s *cubeSnap) publish(n *nodeState) {
+	ctr := n.cube.Counters()
+	s.ctr.Store(&ctr)
+	s.temp.Store(math.Float64bits(float64(n.res.PeakDRAM)))
+	s.pool.Store(int64(n.poolSize()))
 }
 
-// buildPolicy constructs one node's throttling policy instance —
-// the same switch RunWorkload applies, factored for per-node reuse.
-// The returned warnLevel pointer is bound to the node's thermal model
-// by the caller (multi-level HW only).
-func buildPolicy(eng *sim.Engine, w kernels.Workload, policy core.PolicyKind, cfg Config,
-	warnLevel *func() core.WarningLevel) (pol core.Policy, sw *core.SWDynT, hw *core.HWDynT, mhw *core.MultiLevelHWDynT, initialPool int, err error) {
-	initialPool = -1
-	switch policy {
-	case core.NonOffloading:
-		pol = core.NewNonOffloading()
-	case core.NaiveOffloading:
-		pol = core.NewNaiveOffloading()
-	case core.IdealThermal:
-		pol = core.NewIdealThermal()
-	case core.CoolPIMSW:
-		prof := w.Profile()
-		maxBlocks := cfg.GPU.NumSMs * cfg.GPU.MaxBlocksPerSM
-		initialPool = core.InitialPTPSize(cfg.Throttle, cfg.PIMPeakRate,
-			prof.PIMIntensity, maxBlocks, prof.DivergenceRatio)
-		sw = core.NewSWDynT(eng, cfg.Throttle, initialPool)
-		pol = core.NewCoolPIMSW(sw)
-	case core.CoolPIMHW:
-		if cfg.MultiLevelHW {
-			ml := cfg.MultiLevel
-			if ml.CriticalFactor == 0 {
-				ml = core.DefaultMultiLevelConfig()
-				ml.Config = cfg.Throttle
-			}
-			mhw = core.NewMultiLevelHWDynT(eng, ml, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			pol = core.NewCoolPIMHWMultiLevel(mhw, func() core.WarningLevel {
-				if *warnLevel == nil {
-					return core.WarnNormal
-				}
-				return (*warnLevel)()
-			})
-		} else {
-			hw = core.NewHWDynT(eng, cfg.Throttle, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			pol = core.NewCoolPIMHW(hw)
-		}
-		initialPool = cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM
-	default:
-		err = fmt.Errorf("system: unknown policy %v", policy)
-	}
-	return
-}
-
-func (n *nodeState) warnStats() (seen, applied, critical uint64) {
-	switch {
-	case n.sw != nil:
-		seen, applied = n.sw.Warnings()
-	case n.hw != nil:
-		seen, applied = n.hw.Warnings()
-	case n.mhw != nil:
-		seen, applied, critical = n.mhw.Warnings()
-	}
-	return
-}
-
-// RunWorkloads executes a multi-cube run: one full platform replica
-// (GPU + cube + thermal stack + policy + its own workload instance) per
-// cube node, joined by the cfg.Net link topology, each node on its own
-// engine shard under the cluster's conservative barrier. ws must hold
-// one workload per cube (replicas of the same benchmark, each with its
-// own functional memory). With the network disabled it accepts a single
-// workload and falls through to the serial single-cube RunWorkload —
-// whose outputs it then matches byte for byte.
-func RunWorkloads(ws []kernels.Workload, policy core.PolicyKind, cfg Config, g *graph.Graph) (*Result, error) {
-	if !cfg.Net.Enabled() {
-		if len(ws) != 1 {
-			return nil, fmt.Errorf("system: %d workloads for a single-cube run", len(ws))
-		}
-		return RunWorkload(ws[0], policy, cfg, g)
-	}
-	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
-	}
-	cubes := cfg.Net.Cubes
-	if len(ws) != cubes {
-		return nil, fmt.Errorf("system: %d workload replicas for %d cubes", len(ws), cubes)
-	}
-
-	cl, err := sim.NewCluster(cfg.Net.LinkLatency, cubes)
-	if err != nil {
-		return nil, err
-	}
-	cl.SetShards(cfg.Net.Shards)
-	net, err := hmc.NewNetwork(cl, cfg.Net)
-	if err != nil {
-		return nil, err
-	}
-
-	tel := cfg.Telemetry
-	var trace *telemetry.Tracer
-	var spans *telemetry.SpanTracer
-	var flight *telemetry.FlightRecorder
-	if tel.Enabled() {
-		trace = tel.Tracer
-		spans = tel.Spans
-		flight = tel.Flight
-		// Node 0 owns the telemetry plane; its engine is profiled and its
-		// span families rate-limited exactly like the single-cube wiring,
-		// plus the network's remote/per-link families.
-		cl.Domain(0).SetObserver(tel.Profile())
-		trace.SetMinGap(telemetry.EvBackpressure, cfg.ThermalTick)
-		spans.SetMinGap(spans.Name("hmc.read"), cfg.ThermalTick)
-		spans.SetMinGap(spans.Name("hmc.write"), cfg.ThermalTick)
-		spans.SetMinGap(spans.Name("hmc.pim"), cfg.ThermalTick)
-		for _, name := range net.SpanNames() {
-			spans.SetMinGap(spans.Name(name), cfg.ThermalTick)
-		}
-		trace.SetFlight(flight)
-		spans.SetFlight(flight)
-	}
-	net.SetSpans(spans)
-
-	res := &Result{
-		Workload: ws[0].Name(),
-		Policy:   policy,
-		Cooling:  cfg.Cooling.Name,
-		PerCube:  make([]CubeResult, cubes),
-	}
-
-	// Per-node wiring. Everything a node touches during the run lives on
-	// its own engine domain; the only cross-domain state is the network's
-	// causally-ordered message flow and the atomic telemetry snapshots.
-	nodes := make([]*nodeState, cubes)
-	for i := 0; i < cubes; i++ {
-		eng := cl.Domain(i)
-		eng.Reserve(2 * cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM)
-		n := &nodeState{id: i, eng: eng, w: ws[i], space: kernels.SpaceFor(g)}
-		n.res.Node = i
-		nodes[i] = n
-
-		n.cube = hmc.New(eng, n.space, cfg.HMC)
-		n.cube.DisableThermalEffects = policy.ThermalEffectsDisabled()
-		if i == 0 {
-			n.cube.Trace = trace
-			n.cube.SetSpans(spans)
-		}
-		net.AttachNode(i, n.cube, n.space)
-
-		var warnLevel func() core.WarningLevel
-		var pol core.Policy
-		var initialPool int
-		pol, n.sw, n.hw, n.mhw, initialPool, err = buildPolicy(eng, n.w, policy, cfg, &warnLevel)
-		if err != nil {
-			return nil, err
-		}
-		n.pol = pol
-		n.res.InitialPoolSize = initialPool
-		if i == 0 {
-			switch {
-			case n.sw != nil:
-				n.sw.Trace = trace
-				n.sw.Spans = spans
-				trace.PoolInit(0, "sw-ptp", initialPool)
-			case n.hw != nil:
-				n.hw.Trace = trace
-				n.hw.Spans = spans
-				trace.PoolInit(0, "hw-pcu", initialPool)
-			case n.mhw != nil:
-				n.mhw.Trace = trace
-				n.mhw.Spans = spans
-				trace.PoolInit(0, "hw-pcu", initialPool)
-			}
-		}
-
-		n.dev = gpu.New(eng, n.space, n.cube, pol, cfg.GPU)
-		n.dev.PIMOffloadActive = policy != core.NonOffloading
-		n.dev.SetNetwork(net, i)
-		if i == 0 {
-			n.dev.Trace = trace
-			n.dev.SetSpans(spans)
-		}
-
-		n.w.Setup(n.space, g)
-
-		n.model = thermal.New(cfg.Stack, cfg.Cooling)
-		model := n.model
-		warnLevel = func() core.WarningLevel {
-			if model.PeakDRAM() > dram.ExtendedLimit {
-				return core.WarnCritical
-			}
-			return core.WarnNormal
-		}
-		n.coupler = newThermalCoupler(n.cube, n.model, cfg)
-		if i == 0 {
-			n.coupler.setSpans(spans)
-		}
-		n.cube.OnShutdown = func(now units.Time) {
-			// Per-node flag (domain-owned), cluster-wide stop: the node's
-			// own engine halts immediately, everyone else at the barrier.
-			n.res.Shutdown = true
-			cl.Halt()
-			n.eng.Halt()
-		}
-		nn := n
-		n.poolSize = func() int {
-			switch {
-			case nn.sw != nil:
-				return nn.sw.Pool().Size()
-			case nn.hw != nil:
-				total := 0
-				for s := 0; s < cfg.GPU.NumSMs; s++ {
-					total += nn.hw.Limit(s)
-				}
-				return total
-			case nn.mhw != nil:
-				total := 0
-				for s := 0; s < cfg.GPU.NumSMs; s++ {
-					total += nn.mhw.Limit(s)
-				}
-				return total
-			}
-			return -1
-		}
-		n.snap.pool.Store(int64(initialPool))
-	}
-
-	// Telemetry instruments: per-cube labeled series on node 0's
-	// registry, each reading only its node's atomic snapshot. The label
-	// value is interned once here — no per-scrape formatting.
-	var tempHist, pimRateHist *telemetry.Histogram
-	if tel.Enabled() {
-		reg := tel.Registry
-		for i := 0; i < cubes; i++ {
-			snap := &nodes[i].snap
-			id := strconv.Itoa(i)
-			reg.CounterFuncLabeled("coolpim_pim_ops_total",
-				"PIM operations executed in the cube's vault ALUs",
-				"cube", id, func() float64 { return float64(snap.counters().PIMOps) })
-			reg.CounterFuncLabeled("coolpim_ext_data_bytes_total",
-				"data bytes moved over the external SerDes links",
-				"cube", id, func() float64 { return float64(snap.counters().ExtDataBytes) })
-			reg.CounterFuncLabeled("coolpim_req_flits_total",
-				"request-link FLITs transferred",
-				"cube", id, func() float64 { return float64(snap.counters().ReqFlits) })
-			reg.CounterFuncLabeled("coolpim_resp_flits_total",
-				"response-link FLITs transferred",
-				"cube", id, func() float64 { return float64(snap.counters().RespFlits) })
-			reg.GaugeFuncLabeled("coolpim_peak_dram_celsius",
-				"hottest DRAM temperature observed so far",
-				"cube", id, func() float64 { return math.Float64frombits(snap.temp.Load()) })
-			reg.GaugeFuncLabeled("coolpim_pool_size",
-				"SW-DynT token-pool size or HW-DynT total PIM-enabled warps (-1 for static policies)",
-				"cube", id, func() float64 { return float64(snap.pool.Load()) })
-		}
-		tempHist = reg.Histogram("coolpim_dram_temp_celsius",
-			"peak DRAM temperature sampled every thermal tick (node 0)",
-			telemetry.LinearBounds(60, 2.5, 20))
-		pimRateHist = reg.Histogram("coolpim_pim_rate_ops_per_ns",
-			"windowed PIM offloading rate per sample interval (node 0)",
-			telemetry.LinearBounds(0.25, 0.25, 16))
-	}
-
-	// Per-node thermal coupling, sampling and workload driver.
-	thermalTickName := spans.Name("thermal.tick")
+// registerCubeMetrics gives every node a snapshot and exposes the
+// per-cube labeled series on node 0's registry, each reading only its
+// node's atomic snapshot. The label value is interned once here — no
+// per-scrape formatting.
+func registerCubeMetrics(reg *telemetry.Registry, nodes []*nodeState) {
 	for _, n := range nodes {
-		n := n
-		node0 := n.id == 0
-		telOn := tel.Enabled()
-		n.eng.EveryNamed(cfg.ThermalTick, "thermal", func(now units.Time) bool {
-			var sp telemetry.Span
-			if node0 {
-				sp = spans.StartSpan(now, thermalTickName)
-			}
-			temp := n.coupler.tick(now, cfg.ThermalTick)
-			if temp > n.res.PeakDRAM {
-				n.res.PeakDRAM = temp
-			}
-			if node0 {
-				tempHist.Observe(float64(temp))
-				flight.Thermal(now, temp)
-			}
-			n.cube.SetTemperature(now, temp)
-			if telOn {
-				ctr := n.cube.Counters()
-				n.snap.ctr.Store(&ctr)
-				n.snap.temp.Store(math.Float64bits(float64(n.res.PeakDRAM)))
-				n.snap.pool.Store(int64(n.poolSize()))
-			}
-			if node0 {
-				sp.End(now)
-			}
-			return !n.finished
-		})
-
-		sample := func(now, dt units.Time) {
-			ctr := n.cube.Counters()
-			d := deltaCounters(ctr, n.prevSample)
-			n.prevSample = ctr
-			rate := units.OpsPerNs(float64(d.PIMOps) / dt.Nanoseconds())
-			if node0 {
-				pimRateHist.Observe(float64(rate))
-			}
-			n.res.Series = append(n.res.Series, Sample{
-				At:       now,
-				PIMRate:  rate,
-				ExtBW:    units.BytesPerSecond(float64(d.ExtDataBytes) / dt.Seconds()),
-				PeakDRAM: n.coupler.observe(),
-				PoolSize: n.poolSize(),
-			})
-			n.lastSampleAt = now
-		}
-		n.eng.EveryNamed(cfg.SampleInterval, "sampler", func(now units.Time) bool {
-			if n.finished {
-				return false
-			}
-			sample(now, cfg.SampleInterval)
-			return true
-		})
-		flushTail := func(now units.Time) {
-			if dt := now - n.lastSampleAt; dt > 0 {
-				sample(now, dt)
-			}
-		}
-
-		var runNext func(now units.Time)
-		runNext = func(now units.Time) {
-			l, ok := n.w.NextLaunch()
-			if !ok {
-				n.finished = true
-				n.res.Runtime = n.eng.Now()
-				flushTail(n.res.Runtime)
-				return
-			}
-			n.res.Launches++
-			l.OnComplete = func(at units.Time) {
-				n.eng.AfterNamed(cfg.LaunchOverhead, "driver", runNext)
-			}
-			n.dev.RunKernel(l)
-		}
-		n.eng.AfterNamed(0, "driver", runNext)
+		snap := &cubeSnap{}
+		snap.pool.Store(int64(n.res.InitialPoolSize))
+		n.snap = snap
+		id := strconv.Itoa(n.id)
+		reg.CounterFuncLabeled("coolpim_pim_ops_total",
+			"PIM operations executed in the cube's vault ALUs",
+			"cube", id, func() float64 { return float64(snap.counters().PIMOps) })
+		reg.CounterFuncLabeled("coolpim_ext_data_bytes_total",
+			"data bytes moved over the external SerDes links",
+			"cube", id, func() float64 { return float64(snap.counters().ExtDataBytes) })
+		reg.CounterFuncLabeled("coolpim_req_flits_total",
+			"request-link FLITs transferred",
+			"cube", id, func() float64 { return float64(snap.counters().ReqFlits) })
+		reg.CounterFuncLabeled("coolpim_resp_flits_total",
+			"response-link FLITs transferred",
+			"cube", id, func() float64 { return float64(snap.counters().RespFlits) })
+		reg.GaugeFuncLabeled("coolpim_peak_dram_celsius",
+			"hottest DRAM temperature observed so far",
+			"cube", id, func() float64 { return math.Float64frombits(snap.temp.Load()) })
+		reg.GaugeFuncLabeled("coolpim_pool_size",
+			"SW-DynT token-pool size or HW-DynT total PIM-enabled warps (-1 for static policies)",
+			"cube", id, func() float64 { return float64(snap.pool.Load()) })
 	}
-
-	// Node 0's live telemetry series and snapshot publication, as in the
-	// single-cube wiring (reading only domain-0 state and atomics).
-	if tel.Enabled() {
-		n0 := nodes[0]
-		sampleEvery := cfg.TelemetrySample
-		if sampleEvery <= 0 {
-			sampleEvery = cfg.SampleInterval
-		}
-		var prevTel, dTel hmc.Counters
-		tel.Series.AddColumn("pim_rate_ops_per_ns", func(units.Time) float64 {
-			ctr := n0.cube.Counters()
-			dTel = deltaCounters(ctr, prevTel)
-			prevTel = ctr
-			return float64(dTel.PIMOps) / sampleEvery.Nanoseconds()
-		})
-		tel.Series.AddColumn("ext_bw_gbps", func(units.Time) float64 {
-			return float64(dTel.ExtDataBytes) / sampleEvery.Seconds() / 1e9
-		})
-		tel.Series.AddColumn("peak_dram_c", func(units.Time) float64 {
-			return float64(n0.coupler.observe())
-		})
-		tel.Series.AddColumn("pool_size", func(units.Time) float64 {
-			return float64(n0.poolSize())
-		})
-		tel.Series.Start(n0.eng, sampleEvery, func() bool { return n0.finished })
-		if tel.Sink != nil {
-			publishEvery := tel.PublishEvery
-			if publishEvery <= 0 {
-				publishEvery = cfg.SampleInterval
-			}
-			n0.eng.EveryNamed(publishEvery, "diag", func(now units.Time) bool {
-				tel.Publish(now)
-				return !n0.finished
-			})
-		}
-	}
-
-	end := cl.RunUntil(cfg.MaxSimTime)
-
-	anyShutdown := false
-	for _, n := range nodes {
-		anyShutdown = anyShutdown || n.res.Shutdown
-	}
-	for _, n := range nodes {
-		if !n.finished && !anyShutdown {
-			return nil, fmt.Errorf("system: %s/%v node %d did not finish within %v (simulated %v)",
-				n.w.Name(), policy, n.id, cfg.MaxSimTime, n.eng.Now())
-		}
-		if !n.finished {
-			n.res.Runtime = n.eng.Now()
-			if dt := n.res.Runtime - n.lastSampleAt; dt > 0 {
-				// The cluster halted mid-run (a cube shut down); close the
-				// node's series with its final partial window.
-				ctr := n.cube.Counters()
-				d := deltaCounters(ctr, n.prevSample)
-				n.prevSample = ctr
-				n.res.Series = append(n.res.Series, Sample{
-					At:       n.res.Runtime,
-					PIMRate:  units.OpsPerNs(float64(d.PIMOps) / dt.Nanoseconds()),
-					ExtBW:    units.BytesPerSecond(float64(d.ExtDataBytes) / dt.Seconds()),
-					PeakDRAM: n.coupler.observe(),
-					PoolSize: n.poolSize(),
-				})
-				n.lastSampleAt = n.res.Runtime
-			}
-		}
-	}
-
-	// Per-node result assembly, then cross-node aggregation.
-	for _, n := range nodes {
-		if temp := n.coupler.drain(); temp > n.res.PeakDRAM {
-			n.res.PeakDRAM = temp
-		}
-		ctr := n.cube.Counters()
-		n.res.HMC = ctr
-		n.res.PIMOps = ctr.PIMOps
-		n.res.ExtDataBytes = ctr.ExtDataBytes
-		if n.res.Runtime > 0 {
-			n.res.AvgPIMRate = units.OpsPerNs(float64(ctr.PIMOps) / n.res.Runtime.Nanoseconds())
-			n.res.AvgExtBW = units.BytesPerSecond(float64(ctr.ExtDataBytes) / n.res.Runtime.Seconds())
-		}
-		n.res.GPU = n.dev.Stats()
-		n.res.L2 = n.dev.L2Stats()
-		n.res.FinalPoolSize = n.poolSize()
-		n.res.WarningsSeen, n.res.ControlUpdates, n.res.CriticalWarnings = n.warnStats()
-		if !anyShutdown && res.VerifyErr == nil {
-			if err := n.w.Verify(); err != nil {
-				res.VerifyErr = fmt.Errorf("node %d: %w", n.id, err)
-			}
-		}
-		res.PerCube[n.id] = n.res
-	}
-	aggregate(res, nodes)
-	res.Links = net.Links()
-	tel.Publish(end)
-	return res, nil
 }
 
 // aggregate folds the per-node results into the run-level totals: sums

@@ -11,7 +11,6 @@ import (
 
 	"coolpim/internal/cache"
 	"coolpim/internal/core"
-	"coolpim/internal/dram"
 	"coolpim/internal/gpu"
 	"coolpim/internal/graph"
 	"coolpim/internal/hmc"
@@ -34,10 +33,10 @@ type Config struct {
 	Throttle core.Config
 
 	// Net describes the multi-cube HMC network. The zero value (and any
-	// Cubes <= 1) disables it: the run takes the single-cube serial path
-	// with byte-identical outputs. When enabled, RunWorkloads replicates
-	// the full platform per cube node and shards the event engine
-	// (multicube.go).
+	// Cubes <= 1) disables it: the run builds one platform node on a
+	// plain event engine. When enabled, RunWorkloads builds one node per
+	// cube, joins them with the link topology and shards the event
+	// engine (multicube.go).
 	Net hmc.NetworkConfig
 
 	// PIMPeakRate is the platform's peak offloading rate used by Eq. 1.
@@ -48,24 +47,9 @@ type Config struct {
 	PIMPeakRate units.OpsPerNs
 
 	// ThermalTick is the coupling interval between the activity
-	// counters, power model and RC network.
+	// counters, power model and RC network: the RC network is stepped
+	// once per tick.
 	ThermalTick units.Time
-	// ThermalMode selects the coupling tier: ThermalExact (default,
-	// byte-identical figure outputs) steps the RC network every tick;
-	// ThermalAdaptive folds quasi-static ticks into coalesced implicit
-	// advances, trading bit-identity for the epsilon bound pinned by the
-	// accuracy harness. Sweeps and benchmarks opt into adaptive; figure
-	// reproduction must stay exact.
-	ThermalMode ThermalMode
-	// PowerDeltaThreshold is the adaptive tier's per-node (per vault
-	// cell) injection change, in watts, above which a tick breaks the
-	// quasi-static window and forces an immediate exact solve
-	// (0 → defaultPowerDelta).
-	PowerDeltaThreshold units.Watt
-	// MaxThermalInterval caps the adaptive tier's coalesced window so
-	// throttle-reaction latency is never deferred past it
-	// (0 → defaultMaxIntervalTicks × ThermalTick).
-	MaxThermalInterval units.Time
 	// SampleInterval is the time-series sampling period (Fig. 14).
 	SampleInterval units.Time
 	// LaunchOverhead is the host-side gap between kernel launches.
@@ -113,6 +97,14 @@ func DefaultConfig() Config {
 		LaunchOverhead: 2 * units.Microsecond,
 		MaxSimTime:     2 * units.Second,
 	}
+}
+
+// cubes is the number of platform nodes the configuration builds.
+func (c Config) cubes() int {
+	if c.Net.Enabled() {
+		return c.Net.Cubes
+	}
+	return 1
 }
 
 // Sample is one time-series point.
@@ -184,422 +176,219 @@ func (r *Result) NormalizedBW(base *Result) float64 {
 }
 
 // Run executes one workload under one policy and returns its result.
-// With a multi-cube network configured it builds one workload replica
-// per cube node and dispatches to RunWorkloads.
+// It builds one workload replica per cube node and dispatches to
+// RunWorkloads.
 func Run(workloadName string, policy core.PolicyKind, cfg Config, g *graph.Graph) (*Result, error) {
-	if cfg.Net.Enabled() {
-		ws := make([]kernels.Workload, cfg.Net.Cubes)
-		for i := range ws {
-			w, err := kernels.New(workloadName)
-			if err != nil {
-				return nil, err
-			}
-			ws[i] = w
+	ws := make([]kernels.Workload, cfg.cubes())
+	for i := range ws {
+		w, err := kernels.New(workloadName)
+		if err != nil {
+			return nil, err
 		}
-		return RunWorkloads(ws, policy, cfg, g)
+		ws[i] = w
 	}
-	w, err := kernels.New(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	return RunWorkload(w, policy, cfg, g)
+	return RunWorkloads(ws, policy, cfg, g)
 }
 
-// RunWorkload is Run for an already-constructed workload (single-cube
-// only; multi-cube configurations need one workload replica per node —
-// see RunWorkloads).
+// RunWorkload is Run for an already-constructed workload on a
+// single-cube platform: the one-node case of RunWorkloads. Multi-cube
+// configurations need one workload replica per node.
 func RunWorkload(w kernels.Workload, policy core.PolicyKind, cfg Config, g *graph.Graph) (*Result, error) {
-	if cfg.Net.Enabled() {
-		return nil, fmt.Errorf("system: multi-cube config (%d cubes) needs RunWorkloads with one workload replica per node", cfg.Net.Cubes)
-	}
-	eng := sim.New()
-	// Steady-state queue depth is bounded by resident warps (each with at
-	// most a couple of in-flight events) plus the HMC's in-flight
-	// completions; pre-size once so the hot loop never regrows the queue.
-	eng.Reserve(2 * cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM)
-	space := kernels.SpaceFor(g)
+	return RunWorkloads([]kernels.Workload{w}, policy, cfg, g)
+}
 
+// RunWorkloads builds the platform — one full node (GPU + cube +
+// thermal stack + policy + its own workload instance) per cube — runs
+// it, and reports the result. ws holds one workload per node: replicas
+// of the same benchmark, each with its own functional memory.
+//
+// A single cube runs on a plain event engine and its Result is the
+// node's own (PerCube and Links stay nil). With a multi-cube network
+// the nodes are joined by the cfg.Net link topology, each on its own
+// engine shard under the cluster's conservative barrier, and the
+// Result aggregates the per-node results (multicube.go).
+func RunWorkloads(ws []kernels.Workload, policy core.PolicyKind, cfg Config, g *graph.Graph) (*Result, error) {
+	if cfg.Net.Enabled() {
+		if err := cfg.Net.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	cubes := cfg.cubes()
+	if len(ws) != cubes {
+		return nil, fmt.Errorf("system: %d workload replicas for %d cube(s)", len(ws), cubes)
+	}
+
+	// One engine per node: a plain engine for a single cube; the
+	// cluster's domains, joined by the link network, for several.
+	var cl *sim.Cluster
+	var net *hmc.Network
+	var engines []*sim.Engine
+	if cubes == 1 {
+		engines = append(engines, sim.New())
+	} else {
+		var err error
+		if cl, err = sim.NewCluster(cfg.Net.LinkLatency, cubes); err != nil {
+			return nil, err
+		}
+		cl.SetShards(cfg.Net.Shards)
+		if net, err = hmc.NewNetwork(cl, cfg.Net); err != nil {
+			return nil, err
+		}
+		for i := 0; i < cubes; i++ {
+			engines = append(engines, cl.Domain(i))
+		}
+	}
+
+	// Node 0 owns the telemetry plane: its engine is profiled, and its
+	// cube, GPU, policy and thermal loop emit the trace and span
+	// streams.
 	tel := cfg.Telemetry
-	var trace *telemetry.Tracer
-	var spans *telemetry.SpanTracer
-	var flight *telemetry.FlightRecorder
+	var probe nodeTelemetry
 	if tel.Enabled() {
-		trace = tel.Tracer
-		spans = tel.Spans
-		flight = tel.Flight
-		eng.SetObserver(tel.Profile())
+		probe = nodeTelemetry{trace: tel.Tracer, spans: tel.Spans, flight: tel.Flight}
+		engines[0].SetObserver(tel.Profile())
 		// Backpressure can fire per request; keep one representative
 		// event per thermal tick and count the rest.
-		trace.SetMinGap(telemetry.EvBackpressure, cfg.ThermalTick)
-		// The cube opens one span per request; at full scale that floods
-		// the capped span store within the first few hundred
-		// microseconds and silently evicts the rare control-plane spans
-		// (throttle reactions) that only arrive once the stack heats up.
-		// Keep one representative request span per thermal tick per
-		// family instead.
-		spans.SetMinGap(spans.Name("hmc.read"), cfg.ThermalTick)
-		spans.SetMinGap(spans.Name("hmc.write"), cfg.ThermalTick)
-		spans.SetMinGap(spans.Name("hmc.pim"), cfg.ThermalTick)
+		probe.trace.SetMinGap(telemetry.EvBackpressure, cfg.ThermalTick)
+		// The cube (and the network) open one span per request; at full
+		// scale that floods the capped span store within the first few
+		// hundred microseconds and silently evicts the rare
+		// control-plane spans (throttle reactions) that only arrive
+		// once the stack heats up. Keep one representative request span
+		// per thermal tick per family instead.
+		names := []string{"hmc.read", "hmc.write", "hmc.pim"}
+		if net != nil {
+			names = append(names, net.SpanNames()...)
+		}
+		for _, name := range names {
+			probe.spans.SetMinGap(probe.spans.Name(name), cfg.ThermalTick)
+		}
 		// The flight recorder (when attached) shadows the event and span
 		// streams so a crashing run carries its recent history.
-		trace.SetFlight(flight)
-		spans.SetFlight(flight)
+		probe.trace.SetFlight(probe.flight)
+		probe.spans.SetFlight(probe.flight)
+	}
+	if net != nil {
+		net.SetSpans(probe.spans)
 	}
 
-	cube := hmc.New(eng, space, cfg.HMC)
-	cube.DisableThermalEffects = policy.ThermalEffectsDisabled()
-	cube.Trace = trace
-	cube.SetSpans(spans)
-
-	// Build the throttling policy.
-	var pol core.Policy
-	var sw *core.SWDynT
-	var hw *core.HWDynT
-	var mhw *core.MultiLevelHWDynT
-	var warnLevel func() core.WarningLevel
-	initialPool := -1
-	switch policy {
-	case core.NonOffloading:
-		pol = core.NewNonOffloading()
-	case core.NaiveOffloading:
-		pol = core.NewNaiveOffloading()
-	case core.IdealThermal:
-		pol = core.NewIdealThermal()
-	case core.CoolPIMSW:
-		prof := w.Profile()
-		maxBlocks := cfg.GPU.NumSMs * cfg.GPU.MaxBlocksPerSM
-		initialPool = core.InitialPTPSize(cfg.Throttle, cfg.PIMPeakRate,
-			prof.PIMIntensity, maxBlocks, prof.DivergenceRatio)
-		sw = core.NewSWDynT(eng, cfg.Throttle, initialPool)
-		pol = core.NewCoolPIMSW(sw)
-	case core.CoolPIMHW:
-		if cfg.MultiLevelHW {
-			ml := cfg.MultiLevel
-			if ml.CriticalFactor == 0 {
-				ml = core.DefaultMultiLevelConfig()
-				ml.Config = cfg.Throttle
-			}
-			mhw = core.NewMultiLevelHWDynT(eng, ml, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			// warnLevel is bound to the thermal model below.
-			pol = core.NewCoolPIMHWMultiLevel(mhw, func() core.WarningLevel {
-				if warnLevel == nil {
-					return core.WarnNormal
-				}
-				return warnLevel()
-			})
-		} else {
-			hw = core.NewHWDynT(eng, cfg.Throttle, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			pol = core.NewCoolPIMHW(hw)
+	nodes := make([]*nodeState, cubes)
+	for i := range nodes {
+		var nt nodeTelemetry
+		if i == 0 {
+			nt = probe
 		}
-		initialPool = cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM
-	default:
-		return nil, fmt.Errorf("system: unknown policy %v", policy)
-	}
-	switch {
-	case sw != nil:
-		sw.Trace = trace
-		sw.Spans = spans
-		trace.PoolInit(0, "sw-ptp", initialPool)
-	case hw != nil:
-		hw.Trace = trace
-		hw.Spans = spans
-		trace.PoolInit(0, "hw-pcu", initialPool)
-	case mhw != nil:
-		mhw.Trace = trace
-		mhw.Spans = spans
-		trace.PoolInit(0, "hw-pcu", initialPool)
-	}
-
-	dev := gpu.New(eng, space, cube, pol, cfg.GPU)
-	dev.PIMOffloadActive = policy != core.NonOffloading
-	dev.Trace = trace
-	dev.SetSpans(spans)
-
-	w.Setup(space, g)
-
-	res := &Result{
-		Workload:        w.Name(),
-		Policy:          policy,
-		Cooling:         cfg.Cooling.Name,
-		InitialPoolSize: initialPool,
-	}
-
-	// Thermal coupling.
-	model := thermal.New(cfg.Stack, cfg.Cooling)
-	warnLevel = func() core.WarningLevel {
-		if model.PeakDRAM() > dram.ExtendedLimit {
-			return core.WarnCritical
+		n, err := newNode(i, engines[i], ws[i], policy, cfg, g, net, nt)
+		if err != nil {
+			return nil, err
 		}
-		return core.WarnNormal
-	}
-	coupler := newThermalCoupler(cube, model, cfg)
-	coupler.setSpans(spans)
-	finished := false
-	cube.OnShutdown = func(now units.Time) {
-		res.Shutdown = true
-		eng.Halt()
-	}
-	poolSize := func() int {
-		switch {
-		case sw != nil:
-			return sw.Pool().Size()
-		case hw != nil:
-			total := 0
-			for i := 0; i < cfg.GPU.NumSMs; i++ {
-				total += hw.Limit(i)
+		n.cube.OnShutdown = func(units.Time) {
+			// Per-node flag, run-wide stop: the node's own engine halts
+			// immediately, every other node at the cluster barrier.
+			n.res.Shutdown = true
+			if cl != nil {
+				cl.Halt()
 			}
-			return total
-		case mhw != nil:
-			total := 0
-			for i := 0; i < cfg.GPU.NumSMs; i++ {
-				total += mhw.Limit(i)
-			}
-			return total
+			n.eng.Halt()
 		}
-		return -1
+		nodes[i] = n
 	}
+
 	// Telemetry instruments. Both histograms stay nil when telemetry is
 	// disabled; Observe on a nil histogram is a no-op.
-	var tempHist, pimRateHist *telemetry.Histogram
 	if tel.Enabled() {
-		warnStats := func() (seen, applied uint64) {
-			switch {
-			case sw != nil:
-				return sw.Warnings()
-			case hw != nil:
-				return hw.Warnings()
-			case mhw != nil:
-				s, a, _ := mhw.Warnings()
-				return s, a
-			}
-			return 0, 0
-		}
 		reg := tel.Registry
-		reg.CounterFunc("coolpim_pim_ops_total",
-			"PIM operations executed in the cube's vault ALUs",
-			func() float64 { return float64(cube.Counters().PIMOps) })
-		reg.CounterFunc("coolpim_ext_data_bytes_total",
-			"data bytes moved over the external SerDes links",
-			func() float64 { return float64(cube.Counters().ExtDataBytes) })
-		reg.CounterFunc("coolpim_req_flits_total",
-			"request-link FLITs transferred",
-			func() float64 { return float64(cube.Counters().ReqFlits) })
-		reg.CounterFunc("coolpim_resp_flits_total",
-			"response-link FLITs transferred",
-			func() float64 { return float64(cube.Counters().RespFlits) })
-		reg.CounterFunc("coolpim_thermal_warnings_total",
-			"thermal-warning responses delivered to the source throttle",
-			func() float64 { s, _ := warnStats(); return float64(s) })
-		reg.CounterFunc("coolpim_control_updates_total",
-			"delayed control updates the throttling mechanism applied",
-			func() float64 { _, a := warnStats(); return float64(a) })
-		reg.CounterFunc("coolpim_gpu_warp_ops_total",
-			"warp instructions issued by the GPU",
-			func() float64 { return float64(dev.Stats().WarpOps) })
-		reg.CounterFunc("coolpim_gpu_pim_blocks_total",
-			"thread blocks launched on the PIM-enabled kernel",
-			func() float64 { return float64(dev.Stats().PIMBlocks) })
-		reg.CounterFunc("coolpim_gpu_nonpim_blocks_total",
-			"thread blocks launched on the non-PIM shadow kernel",
-			func() float64 { return float64(dev.Stats().NonPIMBlocks) })
-		reg.GaugeFunc("coolpim_pool_size",
-			"SW-DynT token-pool size or HW-DynT total PIM-enabled warps (-1 for static policies)",
-			func() float64 { return float64(poolSize()) })
-		reg.GaugeFunc("coolpim_peak_dram_celsius",
-			"hottest DRAM temperature observed so far",
-			func() float64 { return float64(res.PeakDRAM) })
-		reg.CounterFunc("coolpim_thermal_skipped_ticks_total",
-			"thermal ticks folded into a coalesced window without a solve (adaptive mode)",
-			func() float64 { return float64(coupler.stats().Skipped) })
-		reg.CounterFunc("coolpim_thermal_solves_total",
-			"real thermal advances, exact steps plus coalesced fast solves",
-			func() float64 { return float64(coupler.stats().Solves) })
-		reg.CounterFunc("coolpim_thermal_fast_solves_total",
-			"coalesced implicit (fast-tier) thermal advances",
-			func() float64 { return float64(coupler.stats().Fast) })
-		reg.GaugeFunc("coolpim_thermal_skip_rate",
-			"fraction of coupling ticks skipped by the adaptive tier",
-			func() float64 { return coupler.skipRate() })
-		reg.GaugeFunc("coolpim_thermal_stale_peak_error_celsius",
-			"accumulated |peak-DRAM| staleness introduced by skipped thermal ticks",
-			func() float64 { return coupler.stats().StaleErr })
-		tempHist = reg.Histogram("coolpim_dram_temp_celsius",
-			"peak DRAM temperature sampled every thermal tick",
+		of := "" // which node the histograms sample
+		if cubes == 1 {
+			nodes[0].registerMetrics(reg)
+		} else {
+			registerCubeMetrics(reg, nodes)
+			of = " (node 0)"
+		}
+		nodes[0].tempHist = reg.Histogram("coolpim_dram_temp_celsius",
+			"peak DRAM temperature sampled every thermal tick"+of,
 			telemetry.LinearBounds(60, 2.5, 20))
-		pimRateHist = reg.Histogram("coolpim_pim_rate_ops_per_ns",
-			"windowed PIM offloading rate per sample interval",
+		nodes[0].pimRateHist = reg.Histogram("coolpim_pim_rate_ops_per_ns",
+			"windowed PIM offloading rate per sample interval"+of,
 			telemetry.LinearBounds(0.25, 0.25, 16))
+		nodes[0].tickSpan = probe.spans.Name("thermal.tick")
 	}
 
-	// thermalTickName is zero when spans are disabled; StartSpan on the
-	// nil tracer then returns an inert Span, keeping the tick path
-	// allocation-free (TestApplyPowerTickZeroAllocs pins this).
-	thermalTickName := spans.Name("thermal.tick")
-	// Per-tick power→thermal feedback; TestApplyPowerTickZeroAllocs
-	// pins the whole closure at zero allocations.
-	//coolpim:hotpath
-	applyPower := func(now units.Time, dt units.Time) {
-		sp := spans.StartSpan(now, thermalTickName)
-		temp := coupler.tick(now, dt)
-		if temp > res.PeakDRAM {
-			res.PeakDRAM = temp
+	for _, n := range nodes {
+		n.start(cfg, tel)
+	}
+
+	var end units.Time
+	if cl != nil {
+		end = cl.RunUntil(cfg.MaxSimTime)
+	} else {
+		end = engines[0].RunUntil(cfg.MaxSimTime)
+	}
+
+	shutdown := false
+	for _, n := range nodes {
+		shutdown = shutdown || n.res.Shutdown
+	}
+	for _, n := range nodes {
+		if !n.finished && !shutdown {
+			return nil, fmt.Errorf("system: %s/%v node %d did not finish within %v (simulated %v)",
+				n.w.Name(), policy, n.id, cfg.MaxSimTime, n.eng.Now())
 		}
-		tempHist.Observe(float64(temp))
-		flight.Thermal(now, temp)
-		cube.SetTemperature(now, temp)
-		sp.End(now)
+		n.finish()
 	}
-	eng.EveryNamed(cfg.ThermalTick, "thermal", func(now units.Time) bool {
-		applyPower(now, cfg.ThermalTick)
-		return !finished
-	})
 
-	// Time-series sampling. Windows tile [0, Runtime] exactly: the
-	// ticker records full SampleInterval windows while the workload
-	// runs, and flushTail records the final partial window at workload
-	// end, scaled to its true width. Without the flush, a runtime that
-	// is not a multiple of SampleInterval either dropped the tail
-	// activity from Result.Series or diluted it over a trailing ticker
-	// window extending past the workload's end.
-	var prevSample hmc.Counters
-	var lastSampleAt units.Time
-	sample := func(now, dt units.Time) {
-		ctr := cube.Counters()
-		d := deltaCounters(ctr, prevSample)
-		prevSample = ctr
-		rate := units.OpsPerNs(float64(d.PIMOps) / dt.Nanoseconds())
-		pimRateHist.Observe(float64(rate))
-		res.Series = append(res.Series, Sample{
-			At:      now,
-			PIMRate: rate,
-			ExtBW:   units.BytesPerSecond(float64(d.ExtDataBytes) / dt.Seconds()),
-			// observe, not model.PeakDRAM(): in adaptive mode the raw
-			// model is up to a skip horizon stale; plotted samples must
-			// be freshly solved values.
-			PeakDRAM: coupler.observe(),
-			PoolSize: poolSize(),
-		})
-		lastSampleAt = now
+	res := &Result{
+		Workload: ws[0].Name(),
+		Policy:   policy,
+		Cooling:  cfg.Cooling.Name,
 	}
-	eng.EveryNamed(cfg.SampleInterval, "sampler", func(now units.Time) bool {
-		if finished {
-			return false
+	if cubes == 1 {
+		res.setNode(&nodes[0].res)
+	} else {
+		res.PerCube = make([]CubeResult, cubes)
+		for i, n := range nodes {
+			res.PerCube[i] = n.res
 		}
-		sample(now, cfg.SampleInterval)
-		return true
-	})
-	flushTail := func(now units.Time) {
-		if dt := now - lastSampleAt; dt > 0 {
-			sample(now, dt)
+		aggregate(res, nodes)
+		res.Links = net.Links()
+	}
+	if !shutdown {
+		for _, n := range nodes {
+			if err := n.w.Verify(); err != nil {
+				if cubes > 1 {
+					err = fmt.Errorf("node %d: %w", n.id, err)
+				}
+				res.VerifyErr = err
+				break
+			}
 		}
-	}
-
-	// Telemetry time series: windowed offload rate / external bandwidth,
-	// live temperature and pool size, aligned on the telemetry cadence.
-	if tel.Enabled() {
-		sampleEvery := cfg.TelemetrySample
-		if sampleEvery <= 0 {
-			sampleEvery = cfg.SampleInterval
-		}
-		var prevTel, dTel hmc.Counters
-		// The first column computes the window delta the others share;
-		// columns are evaluated in registration order.
-		tel.Series.AddColumn("pim_rate_ops_per_ns", func(units.Time) float64 {
-			ctr := cube.Counters()
-			dTel = deltaCounters(ctr, prevTel)
-			prevTel = ctr
-			return float64(dTel.PIMOps) / sampleEvery.Nanoseconds()
-		})
-		tel.Series.AddColumn("ext_bw_gbps", func(units.Time) float64 {
-			return float64(dTel.ExtDataBytes) / sampleEvery.Seconds() / 1e9
-		})
-		tel.Series.AddColumn("peak_dram_c", func(units.Time) float64 {
-			// Fresh solved value, not the (possibly stale) raw model
-			// state — see the Result.Series sampler.
-			return float64(coupler.observe())
-		})
-		tel.Series.AddColumn("pool_size", func(units.Time) float64 {
-			return float64(poolSize())
-		})
-		tel.Series.Start(eng, sampleEvery, func() bool { return finished })
-	}
-
-	// Live snapshot publication. The extra "diag" ticker events do not
-	// perturb determinism: they only read state, and the relative
-	// (at, seq) order of all other events is unchanged — the
-	// race-enabled byte-identity test in diagserver pins this.
-	if tel.Enabled() && tel.Sink != nil {
-		publishEvery := tel.PublishEvery
-		if publishEvery <= 0 {
-			publishEvery = cfg.SampleInterval
-		}
-		eng.EveryNamed(publishEvery, "diag", func(now units.Time) bool {
-			tel.Publish(now)
-			return !finished
-		})
-	}
-
-	// Workload driver: chain launches through OnComplete.
-	var runNext func(now units.Time)
-	runNext = func(now units.Time) {
-		l, ok := w.NextLaunch()
-		if !ok {
-			finished = true
-			res.Runtime = eng.Now()
-			flushTail(res.Runtime)
-			return
-		}
-		res.Launches++
-		l.OnComplete = func(at units.Time) {
-			eng.AfterNamed(cfg.LaunchOverhead, "driver", runNext)
-		}
-		dev.RunKernel(l)
-	}
-	eng.AfterNamed(0, "driver", runNext)
-
-	eng.RunUntil(cfg.MaxSimTime)
-	if !finished && !res.Shutdown {
-		return nil, fmt.Errorf("system: %s/%v did not finish within %v (simulated %v)",
-			w.Name(), policy, cfg.MaxSimTime, eng.Now())
-	}
-	if res.Shutdown {
-		res.Runtime = eng.Now()
-		flushTail(res.Runtime)
-	}
-
-	// Flush any thermal window the adaptive coupler still holds so the
-	// reported peak reflects every joule injected (no-op in exact mode).
-	if temp := coupler.drain(); temp > res.PeakDRAM {
-		res.PeakDRAM = temp
-	}
-
-	ctr := cube.Counters()
-	res.HMC = ctr
-	res.PIMOps = ctr.PIMOps
-	res.ExtDataBytes = ctr.ExtDataBytes
-	res.ReqFlits = ctr.ReqFlits
-	res.RespFlits = ctr.RespFlits
-	if res.Runtime > 0 {
-		res.AvgPIMRate = units.OpsPerNs(float64(ctr.PIMOps) / res.Runtime.Nanoseconds())
-		res.AvgExtBW = units.BytesPerSecond(float64(ctr.ExtDataBytes) / res.Runtime.Seconds())
-	}
-	res.GPU = dev.Stats()
-	res.L2 = dev.L2Stats()
-	res.FinalPoolSize = poolSize()
-	switch {
-	case sw != nil:
-		res.WarningsSeen, res.ControlUpdates = sw.Warnings()
-	case hw != nil:
-		res.WarningsSeen, res.ControlUpdates = hw.Warnings()
-	case mhw != nil:
-		res.WarningsSeen, res.ControlUpdates, res.CriticalWarnings = mhw.Warnings()
-	}
-	if !res.Shutdown {
-		res.VerifyErr = w.Verify()
 	}
 	// Final snapshot so a held-open diag server shows end-of-run state.
-	tel.Publish(eng.Now())
+	tel.Publish(end)
 	return res, nil
+}
+
+// setNode fills a single-cube Result from its only node.
+func (r *Result) setNode(c *CubeResult) {
+	r.Runtime = c.Runtime
+	r.Launches = c.Launches
+	r.PIMOps = c.PIMOps
+	r.ExtDataBytes = c.ExtDataBytes
+	r.ReqFlits = c.HMC.ReqFlits
+	r.RespFlits = c.HMC.RespFlits
+	r.AvgPIMRate = c.AvgPIMRate
+	r.AvgExtBW = c.AvgExtBW
+	r.PeakDRAM = c.PeakDRAM
+	r.WarningsSeen = c.WarningsSeen
+	r.ControlUpdates = c.ControlUpdates
+	r.CriticalWarnings = c.CriticalWarnings
+	r.GPU = c.GPU
+	r.L2 = c.L2
+	r.HMC = c.HMC
+	r.Shutdown = c.Shutdown
+	r.Series = c.Series
+	r.FinalPoolSize = c.FinalPoolSize
+	r.InitialPoolSize = c.InitialPoolSize
 }
 
 func deltaCounters(cur, prev hmc.Counters) hmc.Counters {

@@ -14,8 +14,8 @@ import (
 // The stencil operator in Model must remain bit-identical to this walk
 // (same neighbors, same accumulation order — see DESIGN.md §6b), which
 // the tests in stencil_test.go pin across stacks, coolings and
-// randomized power injections. It is test-only by construction: nothing
-// outside the differential tests may depend on it.
+// randomized power injections. It lives in a _test.go file, so it is
+// compiled only into the package's test binary.
 type referenceModel struct {
 	cfg     StackConfig
 	cooling Cooling

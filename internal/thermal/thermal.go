@@ -11,8 +11,8 @@
 // The network is evaluated through a stencil operator precomputed in
 // New: per-node CSR neighbor/conductance arrays in a fixed accumulation
 // order, so the solvers are allocation-free and bit-identical to the
-// interpretive reference implementation in reference.go (see
-// DESIGN.md §6b and the differential tests).
+// interpretive reference implementation the differential tests keep in
+// reference_test.go (see DESIGN.md §6b).
 //
 // Geometry convention: layer 0 is the logic die at the bottom of the
 // stack; layers 1..DRAMDies are the DRAM dies, stacked upward toward the
@@ -198,16 +198,6 @@ type Model struct {
 	maxStep float64
 	plan    stepPlan
 
-	// Fast-tier state (fast.go): red-black node order (red prefix, then
-	// black; the sink is relaxed outside the color sweeps) and the
-	// per-chunk reduction scratch of the parallel path.
-	rbOrder  []int32
-	nRed     int
-	chunkMax []float64
-	// fastMaxStep bounds one implicit substep of StepFast (seconds):
-	// half the sink node's time constant, the network's slowest mode.
-	fastMaxStep float64
-
 	// peakDRAM caches the hottest DRAM-node temperature. eulerStep
 	// maintains it incrementally while writing the new field; solvers
 	// that update in place invalidate it instead.
@@ -255,14 +245,12 @@ func New(cfg StackConfig, cooling Cooling) *Model {
 		}
 	}
 	m.buildStencil()
-	m.buildColoring()
 
 	// Stability bound: dt < C / ΣG at the stiffest node. A cell can see
 	// two vertical, four lateral, one spread and one rim conductance.
 	gMaxCell := 2*m.gVert + 4*m.gLat + m.gSpread + m.gRim
 	gMaxSink := float64(m.nCells)*m.gSpread + m.gSink
 	m.maxStep = 0.5 * math.Min(cfg.CellCap/gMaxCell, cfg.SinkCap/gMaxSink)
-	m.fastMaxStep = 0.5 * cfg.SinkCap / m.gTot[m.sinkNode()]
 	return m
 }
 
@@ -514,23 +502,12 @@ func (m *Model) sinkFlux(t []float64) float64 {
 // must surface that as an error rather than read a half-converged
 // field).
 //
-// SolveSteady and SolveSteadySOR are the steady-state solver hot path,
-// entered once per sweep point of the figure campaigns.
+// SolveSteady is the steady-state solver hot path, entered once per
+// sweep point of the figure campaigns. It is bit-identical to the
+// reference solver.
 //
 //coolpim:hotpath
-func (m *Model) SolveSteady() int { return m.SolveSteadySOR(1) }
-
-// SolveSteadySOR is SolveSteady with a successive-over-relaxation
-// factor omega in (0, 2). omega == 1 is plain Gauss-Seidel and is
-// bit-identical to the reference solver; factors above 1 can converge
-// in fewer sweeps on the analytic sweep workloads. It panics on a
-// factor outside (0, 2), for which SOR is not convergent.
-//
-//coolpim:hotpath
-func (m *Model) SolveSteadySOR(omega float64) int {
-	if omega <= 0 || omega >= 2 {
-		panic(fmt.Sprintf("thermal: SOR factor %g outside (0, 2)", omega))
-	}
+func (m *Model) SolveSteady() int {
 	const (
 		tol       = 1e-6
 		maxSweeps = 200000
@@ -557,14 +534,14 @@ func (m *Model) SolveSteadySOR(omega float64) int {
 			f += e[5].g * (t[e[5].j] - ti)
 			f += e[6].g * (t[e[6].j] - ti)
 			f += e[7].g * (t[e[7].j] - ti)
-			delta := omega * ((f + power[i]) / gTot[i])
+			delta := (f + power[i]) / gTot[i]
 			t[i] += delta
 			if d := math.Abs(delta); d > maxDelta {
 				maxDelta = d
 			}
 		}
 		// The sink node relaxes last, as in the reference sweep order.
-		delta := omega * ((m.sinkFlux(t) + power[sink]) / gTot[sink])
+		delta := (m.sinkFlux(t) + power[sink]) / gTot[sink]
 		t[sink] += delta
 		if d := math.Abs(delta); d > maxDelta {
 			maxDelta = d
