@@ -1,5 +1,5 @@
 // Package telemetrysafe defines the coolpim-vet analyzer guarding the
-// telemetry layer's contract: a nil hub/tracer/sampler is the disabled
+// telemetry layer's contract: a nil hub/tracer/recorder is the disabled
 // state, and the disabled path must stay a single predictable branch
 // with no allocation (internal/telemetry's package doc and benchmarks).
 // Two checks enforce the two halves of that contract:
@@ -39,8 +39,6 @@ const telemetryPkg = "coolpim/internal/telemetry"
 // panics loudly, and counters are only handed out non-nil.
 var instruments = map[string]bool{
 	"Telemetry":      true,
-	"Tracer":         true,
-	"Series":         true,
 	"Histogram":      true,
 	"EngineProfile":  true,
 	"SpanTracer":     true,

@@ -11,20 +11,22 @@ import (
 	"coolpim/internal/units"
 )
 
-func emit(tr *telemetry.Tracer, at units.Time, vault int, name string) {
-	tr.Emit(at, telemetry.EvPhase, fmt.Sprintf(`"vault":%d`, vault)) // want `fmt.Sprintf call is evaluated before Tracer.Emit`
-	tr.Emit(at, telemetry.EvPhase, `"vault":3`)                      // ok: constant payload
-	tr.Emit(at, telemetry.EvPhase, `"name":`+name)                   // want `non-constant string concatenation`
-	tr.Emit(at, telemetry.EvPhase, `"a":`+`1`)                       // ok: folded at compile time
+func marks(st *telemetry.SpanTracer, at units.Time, n telemetry.SpanName, vault int, name string) {
+	st.Mark(at, n, fmt.Sprintf(`"vault":%d`, vault)) // want `fmt.Sprintf call is evaluated before SpanTracer.Mark`
+	st.Mark(at, n, `"vault":3`)                      // ok: constant payload
+	st.Mark(at, n, `"name":`+name)                   // want `non-constant string concatenation`
+	st.Mark(at, n, `"a":`+`1`)                       // ok: folded at compile time
+	st.PoolInit(at, "sw-"+name, vault)               // want `non-constant string concatenation`
+	st.PoolInit(at, name, vault)                     // ok: the emitter formats behind its nil guard
 
-	if tr != nil {
-		tr.Emit(at, telemetry.EvPhase, fmt.Sprintf(`"vault":%d`, vault)) // ok: behind an explicit nil guard
+	if st != nil {
+		st.Mark(at, n, fmt.Sprintf(`"vault":%d`, vault)) // ok: behind an explicit nil guard
 	}
 }
 
-func hub(h *telemetry.Telemetry, at units.Time, v int) {
+func hub(h *telemetry.Telemetry, at units.Time, n telemetry.SpanName, v int) {
 	if h.Enabled() {
-		h.Tracer.Emit(at, telemetry.EvPhase, fmt.Sprintf(`"v":%d`, v)) // ok: behind an Enabled() guard
+		h.Spans.Mark(at, n, fmt.Sprintf(`"v":%d`, v)) // ok: behind an Enabled() guard
 	}
 }
 

@@ -4,65 +4,54 @@
 // instrument is the disabled state.
 package telemetry
 
-// Tracer mimics an instrument type (the name is what matters).
-type Tracer struct{ n int }
+// SpanTracer mimics an instrument type (the name is what matters).
+type SpanTracer struct{ n int }
 
-// Emit is guarded: ok.
-func (t *Tracer) Emit(msg string) {
+// Mark is guarded: ok.
+func (t *SpanTracer) Mark(msg string) {
 	if t == nil {
 		return
 	}
 	t.n++
 }
 
-// EmitIf is guarded with a compound short-circuit condition: ok.
-func (t *Tracer) EmitIf(cond bool, msg string) {
+// MarkIf is guarded with a compound short-circuit condition: ok.
+func (t *SpanTracer) MarkIf(cond bool, msg string) {
 	if t == nil || !cond {
 		return
 	}
 	t.n++
 }
 
-func (t *Tracer) Record(msg string) { // want `exported Tracer.Record must begin with`
+func (t *SpanTracer) StartSpan(name int) { // want `exported SpanTracer.StartSpan must begin with`
 	t.n++
 }
 
 // Enabled is the predicate shape, dereferencing nothing: ok.
-func (t *Tracer) Enabled() bool { return t != nil }
+func (t *SpanTracer) Enabled() bool { return t != nil }
 
-// emit is unexported and runs post-guard: ok.
-func (t *Tracer) emit(msg string) { t.n++ }
+// mark is unexported and runs post-guard: ok.
+func (t *SpanTracer) mark(msg string) { t.n++ }
 
 // Len guards via reversed operands: ok.
-func (t *Tracer) Len() int {
+func (t *SpanTracer) Len() int {
 	if nil == t {
 		return 0
 	}
 	return t.n
 }
 
+// Tracer is not an instrument (the name is what matters): ok unguarded.
+type Tracer struct{ n int }
+
+// Emit may assume a live value.
+func (t *Tracer) Emit(msg string) { t.n++ }
+
 // Registry is registration-time plumbing, exempt by design: ok.
 type Registry struct{ names map[string]bool }
 
 // Claim may assume a live registry.
 func (r *Registry) Claim(name string) { r.names[name] = true }
-
-// SpanTracer mimics the span-tracing instrument: same nil-is-disabled
-// contract as Tracer.
-type SpanTracer struct{ spans int }
-
-// Name is guarded: ok.
-func (t *SpanTracer) Name(s string) int {
-	if t == nil {
-		return 0
-	}
-	t.spans++
-	return t.spans
-}
-
-func (t *SpanTracer) StartSpan(name int) { // want `exported SpanTracer.StartSpan must begin with`
-	t.spans++
-}
 
 // FlightRecorder mimics the crash-dump ring: nil means not recording.
 type FlightRecorder struct{ n int }

@@ -169,10 +169,6 @@ type GPU struct {
 	// accesses do.
 	PIMOffloadActive bool
 
-	// Trace, if set, receives offload.accept/offload.reject events for
-	// every block-launch decision. Nil disables tracing at zero cost.
-	Trace *telemetry.Tracer
-
 	// Span wiring (SetSpans): one "gpu.kernel" span per launch, one
 	// "gpu.block.pim"/"gpu.block.nonpim" child span per thread block.
 	spans      *telemetry.SpanTracer
@@ -336,7 +332,6 @@ func (g *GPU) startBlock(smID int) {
 	} else {
 		g.stats.PIMBlocks++
 	}
-	g.Trace.OffloadBlock(g.eng.Now(), isPIM, smID, g.nextBlock)
 	spanName := g.spanPIM
 	if !isPIM {
 		spanName = g.spanNonPIM

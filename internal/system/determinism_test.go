@@ -10,7 +10,8 @@ import (
 )
 
 // telemetryRun executes one instrumented run and returns the result plus
-// the three rendered exports.
+// the three rendered exports: the span stream, the metrics and the
+// series CSV.
 func telemetryRun(t *testing.T, pol core.PolicyKind) (*Result, string, string, string) {
 	t.Helper()
 	cfg := thrashCfg()
@@ -23,30 +24,30 @@ func telemetryRun(t *testing.T, pol core.PolicyKind) (*Result, string, string, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace, metrics, series strings.Builder
-	if err := cfg.Telemetry.Tracer.WriteJSONL(&trace); err != nil {
+	var spans, metrics, series strings.Builder
+	if err := cfg.Telemetry.Spans.WriteJSONL(&spans); err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Telemetry.Registry.WritePrometheus(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Telemetry.Series.WriteCSV(&series); err != nil {
+	if err := WriteSeriesCSV(&series, res.Series); err != nil {
 		t.Fatal(err)
 	}
-	return res, trace.String(), metrics.String(), series.String()
+	return res, spans.String(), metrics.String(), series.String()
 }
 
 // TestTelemetryDeterminism is the determinism regression test for the
 // observability layer: two same-seed instrumented runs must produce
-// byte-identical trace, metrics and series exports and equal run stats.
+// byte-identical span, metrics and series exports and equal run stats.
 // Wall-clock profiling data must never leak into the exporters (it only
 // appears in the human-readable summary), or this test fails.
 func TestTelemetryDeterminism(t *testing.T) {
-	resA, traceA, metricsA, seriesA := telemetryRun(t, core.CoolPIMHW)
-	resB, traceB, metricsB, seriesB := telemetryRun(t, core.CoolPIMHW)
-	if traceA != traceB {
-		t.Errorf("JSONL traces differ between same-seed runs (%d vs %d bytes)",
-			len(traceA), len(traceB))
+	resA, spansA, metricsA, seriesA := telemetryRun(t, core.CoolPIMHW)
+	resB, spansB, metricsB, seriesB := telemetryRun(t, core.CoolPIMHW)
+	if spansA != spansB {
+		t.Errorf("JSONL span streams differ between same-seed runs (%d vs %d bytes)",
+			len(spansA), len(spansB))
 	}
 	if metricsA != metricsB {
 		t.Errorf("Prometheus exports differ between same-seed runs:\n--- A\n%s\n--- B\n%s",
@@ -61,8 +62,8 @@ func TestTelemetryDeterminism(t *testing.T) {
 		resA.PeakDRAM != resB.PeakDRAM || resA.FinalPoolSize != resB.FinalPoolSize {
 		t.Errorf("run stats diverged:\nA: %+v\nB: %+v", resA, resB)
 	}
-	if traceA == "" {
-		t.Error("instrumented run recorded no trace events")
+	if !strings.Contains(spansA, `"name":"pool.init"`) {
+		t.Error("instrumented run recorded no marks")
 	}
 }
 
@@ -80,15 +81,22 @@ func TestTelemetryMatchesUninstrumentedRun(t *testing.T) {
 	}
 }
 
-// TestTelemetryWiring checks the cross-component event plumbing on one
-// instrumented run: pool lifecycle events, offload decisions and a
-// populated metrics registry.
+// TestTelemetryWiring checks the cross-component plumbing on one
+// instrumented run: the pool lifecycle mark, one block span per
+// offload decision and a populated metrics registry.
 func TestTelemetryWiring(t *testing.T) {
-	res, trace, metrics, series := telemetryRun(t, core.CoolPIMSW)
-	for _, want := range []string{`"kind":"pool.init"`, `"mechanism":"sw-ptp"`, `"kind":"offload.`} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %q", want)
-		}
+	res, spans, metrics, series := telemetryRun(t, core.CoolPIMSW)
+	if !strings.Contains(spans, `{"parent":0,"name":"pool.init","t_ps":0,"args":{"mechanism":"sw-ptp","size":`) {
+		t.Error("span stream missing the sw-ptp pool.init mark")
+	}
+	if n := uint64(strings.Count(spans, `"name":"gpu.block.pim"`)); n != res.GPU.PIMBlocks {
+		t.Errorf("%d gpu.block.pim spans, GPU launched %d PIM blocks", n, res.GPU.PIMBlocks)
+	}
+	if n := uint64(strings.Count(spans, `"name":"gpu.block.nonpim"`)); n != res.GPU.NonPIMBlocks {
+		t.Errorf("%d gpu.block.nonpim spans, GPU launched %d non-PIM blocks", n, res.GPU.NonPIMBlocks)
+	}
+	if res.GPU.PIMBlocks == 0 {
+		t.Error("instrumented SW run launched no PIM blocks")
 	}
 	for _, want := range []string{
 		"coolpim_pim_ops_total", "coolpim_pool_size",

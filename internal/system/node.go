@@ -15,12 +15,11 @@ import (
 	"coolpim/internal/units"
 )
 
-// nodeTelemetry is the set of telemetry streams a node emits into. Node
-// 0 carries the run's streams when telemetry is enabled; every other
-// node (and every node of an uninstrumented run) carries nil handles,
-// which the telemetry layer treats as disabled.
+// nodeTelemetry is the set of telemetry instruments a node emits into.
+// Node 0 carries the run's instruments when telemetry is enabled; every
+// other node (and every node of an uninstrumented run) carries nil
+// handles, which the telemetry layer treats as disabled.
 type nodeTelemetry struct {
-	trace       *telemetry.Tracer
 	spans       *telemetry.SpanTracer
 	flight      *telemetry.FlightRecorder
 	tempHist    *telemetry.Histogram
@@ -69,7 +68,6 @@ func newNode(id int, eng *sim.Engine, w kernels.Workload, policy core.PolicyKind
 
 	n.cube = hmc.New(eng, space, cfg.HMC)
 	n.cube.DisableThermalEffects = policy.ThermalEffectsDisabled()
-	n.cube.Trace = n.trace
 	n.cube.SetSpans(n.spans)
 	if net != nil {
 		net.AttachNode(id, n.cube, space)
@@ -86,7 +84,6 @@ func newNode(id int, eng *sim.Engine, w kernels.Workload, policy core.PolicyKind
 	if net != nil {
 		n.dev.SetNetwork(net, id)
 	}
-	n.dev.Trace = n.trace
 	n.dev.SetSpans(n.spans)
 
 	w.Setup(space, g)
@@ -112,8 +109,8 @@ func (n *nodeState) buildPolicy(policy core.PolicyKind, cfg Config) (core.Policy
 		initialPool = core.InitialPTPSize(cfg.Throttle, cfg.PIMPeakRate,
 			prof.PIMIntensity, maxBlocks, prof.DivergenceRatio)
 		n.sw = core.NewSWDynT(n.eng, cfg.Throttle, initialPool)
-		n.sw.Trace, n.sw.Spans = n.trace, n.spans
-		n.trace.PoolInit(0, "sw-ptp", initialPool)
+		n.sw.Spans = n.spans
+		n.spans.PoolInit(0, "sw-ptp", initialPool)
 		pol = core.NewCoolPIMSW(n.sw)
 	case core.CoolPIMHW:
 		initialPool = cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM
@@ -124,14 +121,14 @@ func (n *nodeState) buildPolicy(policy core.PolicyKind, cfg Config) (core.Policy
 				ml.Config = cfg.Throttle
 			}
 			n.mhw = core.NewMultiLevelHWDynT(n.eng, ml, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			n.mhw.Trace, n.mhw.Spans = n.trace, n.spans
+			n.mhw.Spans = n.spans
 			pol = core.NewCoolPIMHWMultiLevel(n.mhw, n.warnLevel)
 		} else {
 			n.hw = core.NewHWDynT(n.eng, cfg.Throttle, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			n.hw.Trace, n.hw.Spans = n.trace, n.spans
+			n.hw.Spans = n.spans
 			pol = core.NewCoolPIMHW(n.hw)
 		}
-		n.trace.PoolInit(0, "hw-pcu", initialPool)
+		n.spans.PoolInit(0, "hw-pcu", initialPool)
 	default:
 		return nil, fmt.Errorf("system: unknown policy %v", policy)
 	}
@@ -222,8 +219,8 @@ func (n *nodeState) registerMetrics(reg *telemetry.Registry) {
 }
 
 // start schedules the node's thermal coupling, sampler and workload
-// driver — plus, on the node that owns telemetry, the telemetry series
-// and live snapshot publication.
+// driver — plus, on the node that owns telemetry, live snapshot
+// publication.
 func (n *nodeState) start(cfg Config, tel *telemetry.Telemetry) {
 	dt := cfg.ThermalTick
 	n.eng.EveryNamed(dt, "thermal", func(now units.Time) bool {
@@ -243,8 +240,19 @@ func (n *nodeState) start(cfg Config, tel *telemetry.Telemetry) {
 		return true
 	})
 
-	if n.id == 0 && tel.Enabled() {
-		n.startTelemetry(cfg, tel)
+	// Live snapshot publication. The extra "diag" ticker events do not
+	// perturb determinism: they only read state, and the relative
+	// (at, seq) order of all other events is unchanged — the
+	// race-enabled byte-identity test in diagserver pins this.
+	if n.id == 0 && tel.Enabled() && tel.Sink != nil {
+		publishEvery := tel.PublishEvery
+		if publishEvery <= 0 {
+			publishEvery = cfg.SampleInterval
+		}
+		n.eng.EveryNamed(publishEvery, "diag", func(now units.Time) bool {
+			tel.Publish(now)
+			return !n.finished
+		})
 	}
 
 	// Workload driver: chain launches through OnComplete.
@@ -308,50 +316,6 @@ func (n *nodeState) sample(now, dt units.Time) {
 func (n *nodeState) flushTail(now units.Time) {
 	if dt := now - n.lastSampleAt; dt > 0 {
 		n.sample(now, dt)
-	}
-}
-
-// startTelemetry registers the telemetry series columns — windowed
-// offload rate and external bandwidth, live temperature and pool size,
-// aligned on the telemetry cadence — and the live snapshot publisher.
-func (n *nodeState) startTelemetry(cfg Config, tel *telemetry.Telemetry) {
-	sampleEvery := cfg.TelemetrySample
-	if sampleEvery <= 0 {
-		sampleEvery = cfg.SampleInterval
-	}
-	var prevTel, dTel hmc.Counters
-	// The first column computes the window delta the others share;
-	// columns are evaluated in registration order.
-	tel.Series.AddColumn("pim_rate_ops_per_ns", func(units.Time) float64 {
-		ctr := n.cube.Counters()
-		dTel = deltaCounters(ctr, prevTel)
-		prevTel = ctr
-		return float64(dTel.PIMOps) / sampleEvery.Nanoseconds()
-	})
-	tel.Series.AddColumn("ext_bw_gbps", func(units.Time) float64 {
-		return float64(dTel.ExtDataBytes) / sampleEvery.Seconds() / 1e9
-	})
-	tel.Series.AddColumn("peak_dram_c", func(units.Time) float64 {
-		return float64(n.model.PeakDRAM())
-	})
-	tel.Series.AddColumn("pool_size", func(units.Time) float64 {
-		return float64(n.poolSize())
-	})
-	tel.Series.Start(n.eng, sampleEvery, func() bool { return n.finished })
-
-	// Live snapshot publication. The extra "diag" ticker events do not
-	// perturb determinism: they only read state, and the relative
-	// (at, seq) order of all other events is unchanged — the
-	// race-enabled byte-identity test in diagserver pins this.
-	if tel.Sink != nil {
-		publishEvery := tel.PublishEvery
-		if publishEvery <= 0 {
-			publishEvery = cfg.SampleInterval
-		}
-		n.eng.EveryNamed(publishEvery, "diag", func(now units.Time) bool {
-			tel.Publish(now)
-			return !n.finished
-		})
 	}
 }
 

@@ -8,6 +8,9 @@ package system
 
 import (
 	"fmt"
+	"io"
+	"strconv"
+	"strings"
 
 	"coolpim/internal/cache"
 	"coolpim/internal/core"
@@ -58,14 +61,11 @@ type Config struct {
 	MaxSimTime units.Time
 
 	// Telemetry, when non-nil, enables the observability layer for the
-	// run: the cube, GPU and throttling mechanism emit trace events, the
-	// registry exposes live metrics, the Series sampler records aligned
-	// time series, and the engine profiles per-component handler time.
-	// Nil (the default) disables all of it at zero hot-path cost.
+	// run: the cube, GPU and throttling mechanism record spans and
+	// marks, the registry exposes live metrics, and the engine profiles
+	// per-component handler time. Nil (the default) disables all of it
+	// at zero hot-path cost.
 	Telemetry *telemetry.Telemetry
-	// TelemetrySample is the telemetry Series sampling period
-	// (0 → SampleInterval).
-	TelemetrySample units.Time
 
 	// MultiLevelHW enables the paper's footnote-4 extension for the
 	// CoolPIMHW policy: a second (critical) thermal error state above
@@ -116,6 +116,26 @@ type Sample struct {
 	// PoolSize is SW-DynT's PTP size (or the HW-DynT total PIM-enabled
 	// warp count), -1 for static policies.
 	PoolSize int
+}
+
+// WriteSeriesCSV writes a time series as CSV, one row per sample — the
+// machine-readable form of the paper's Fig. 8/14 temperature/PIM-rate
+// traces:
+//
+//	t_ms,pim_rate_ops_per_ns,ext_bw_gbps,peak_dram_c,pool_size
+//	0.100000,1.2345,187.2,61.5,1024
+func WriteSeriesCSV(w io.Writer, series []Sample) error {
+	var sb strings.Builder
+	sb.WriteString("t_ms,pim_rate_ops_per_ns,ext_bw_gbps,peak_dram_c,pool_size\n")
+	for _, s := range series {
+		fmt.Fprintf(&sb, "%.6f,%s,%s,%s,%d\n", s.At.Milliseconds(),
+			strconv.FormatFloat(float64(s.PIMRate), 'g', -1, 64),
+			strconv.FormatFloat(float64(s.ExtBW)/1e9, 'g', -1, 64),
+			strconv.FormatFloat(float64(s.PeakDRAM), 'g', -1, 64),
+			s.PoolSize)
+	}
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
 // Result holds everything a run produces.
@@ -240,32 +260,28 @@ func RunWorkloads(ws []kernels.Workload, policy core.PolicyKind, cfg Config, g *
 	}
 
 	// Node 0 owns the telemetry plane: its engine is profiled, and its
-	// cube, GPU, policy and thermal loop emit the trace and span
-	// streams.
+	// cube, GPU, policy and thermal loop emit the span stream.
 	tel := cfg.Telemetry
 	var probe nodeTelemetry
 	if tel.Enabled() {
-		probe = nodeTelemetry{trace: tel.Tracer, spans: tel.Spans, flight: tel.Flight}
+		probe = nodeTelemetry{spans: tel.Spans, flight: tel.Flight}
 		engines[0].SetObserver(tel.Profile())
-		// Backpressure can fire per request; keep one representative
-		// event per thermal tick and count the rest.
-		probe.trace.SetMinGap(telemetry.EvBackpressure, cfg.ThermalTick)
-		// The cube (and the network) open one span per request; at full
-		// scale that floods the capped span store within the first few
-		// hundred microseconds and silently evicts the rare
-		// control-plane spans (throttle reactions) that only arrive
-		// once the stack heats up. Keep one representative request span
-		// per thermal tick per family instead.
-		names := []string{"hmc.read", "hmc.write", "hmc.pim"}
+		// The cube (and the network) open one span per request, and
+		// backpressure can mark every request; at full scale that floods
+		// the capped span store within the first few hundred
+		// microseconds and silently evicts the rare control-plane spans
+		// (throttle reactions) that only arrive once the stack heats up.
+		// Keep one representative record per thermal tick per name
+		// instead, and count the rest.
+		names := []string{"hmc.read", "hmc.write", "hmc.pim", "link.backpressure"}
 		if net != nil {
 			names = append(names, net.SpanNames()...)
 		}
 		for _, name := range names {
 			probe.spans.SetMinGap(probe.spans.Name(name), cfg.ThermalTick)
 		}
-		// The flight recorder (when attached) shadows the event and span
-		// streams so a crashing run carries its recent history.
-		probe.trace.SetFlight(probe.flight)
+		// The flight recorder (when attached) shadows the span stream so
+		// a crashing run carries its recent history.
 		probe.spans.SetFlight(probe.flight)
 	}
 	if net != nil {

@@ -1,7 +1,9 @@
 package system
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"coolpim/internal/core"
@@ -177,9 +179,10 @@ func TestSeriesSamplesAreConsistent(t *testing.T) {
 
 // TestSamplerFlushesTailWindow pins the fix for the dropped final
 // partial sampling window: with a sampling period that does not divide
-// the runtime, the series must end exactly at Runtime with a final
-// sample scaled to the partial window's true width, and the windowed
-// rates must reconstruct the run totals.
+// the runtime, the series — and the -series-out CSV written from it —
+// must end exactly at Runtime with a final sample scaled to the partial
+// window's true width, and the windowed rates must reconstruct the run
+// totals.
 func TestSamplerFlushesTailWindow(t *testing.T) {
 	cfg := thrashCfg()
 	// A deliberately awkward period: prime in nanoseconds, so no
@@ -214,6 +217,35 @@ func TestSamplerFlushesTailWindow(t *testing.T) {
 	}
 	if diff := math.Abs(bytes - float64(res.ExtDataBytes)); diff > 0.5 {
 		t.Errorf("windowed bandwidth reconstructs %.2f bytes, run total %d", bytes, res.ExtDataBytes)
+	}
+	// The CSV export ends on the same row, stamped at the runtime.
+	var csv strings.Builder
+	if err := WriteSeriesCSV(&csv, res.Series); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	if len(rows) != len(res.Series)+1 {
+		t.Fatalf("CSV has %d rows for %d samples plus a header", len(rows), len(res.Series))
+	}
+	if want := fmt.Sprintf("%.6f,", res.Runtime.Milliseconds()); !strings.HasPrefix(rows[len(rows)-1], want) {
+		t.Errorf("last CSV row %q not stamped at the runtime %v", rows[len(rows)-1], res.Runtime)
+	}
+}
+
+func TestWriteSeriesCSV(t *testing.T) {
+	var sb strings.Builder
+	err := WriteSeriesCSV(&sb, []Sample{
+		{At: units.Millisecond, PIMRate: 1.5, ExtBW: 2.5e9, PeakDRAM: 61.25, PoolSize: -1},
+		{At: 1500 * units.Microsecond, PoolSize: 1024},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "t_ms,pim_rate_ops_per_ns,ext_bw_gbps,peak_dram_c,pool_size\n" +
+		"1.000000,1.5,2.5,61.25,-1\n" +
+		"1.500000,0,0,0,1024\n"
+	if sb.String() != want {
+		t.Fatalf("CSV = %q, want %q", sb.String(), want)
 	}
 }
 

@@ -111,13 +111,12 @@ func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	type health struct {
-		Status      string  `json:"status"`
-		UptimeS     float64 `json:"uptime_s"`
-		RunID       string  `json:"run_id,omitempty"`
-		SimTimeMs   float64 `json:"sim_time_ms"`
-		TraceEvents int     `json:"trace_events"`
-		Spans       int     `json:"spans"`
-		Snapshot    bool    `json:"snapshot_published"`
+		Status    string  `json:"status"`
+		UptimeS   float64 `json:"uptime_s"`
+		RunID     string  `json:"run_id,omitempty"`
+		SimTimeMs float64 `json:"sim_time_ms"`
+		Spans     int     `json:"spans"`
+		Snapshot  bool    `json:"snapshot_published"`
 	}
 	h := health{
 		Status:  "ok",
@@ -126,7 +125,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if sn := s.snap.Load(); sn != nil {
 		h.RunID = sn.RunID
 		h.SimTimeMs = sn.SimTime.Milliseconds()
-		h.TraceEvents = sn.TraceEvents
 		h.Spans = sn.SpanCount
 		h.Snapshot = true
 	}

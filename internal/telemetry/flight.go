@@ -11,10 +11,10 @@ import (
 )
 
 // FlightRecorder keeps a fixed-size ring of the most recent
-// observability records — trace events, thermal snapshots and span
-// closures — so a crashing or wedged run can ship its own evidence: the
-// campaign runner dumps the ring on *RunPanicError / *DeadlineError,
-// and coolpim-sim dumps it on SIGQUIT or panic.
+// observability records — marks, thermal snapshots and span closures —
+// so a crashing or wedged run can ship its own evidence: the campaign
+// runner dumps the ring on *RunPanicError / *DeadlineError, and
+// coolpim-sim dumps it on SIGQUIT or panic.
 //
 // A nil *FlightRecorder is the disabled state: every method returns
 // immediately without allocating. An enabled recorder is safe for

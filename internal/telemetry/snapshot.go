@@ -10,7 +10,7 @@ import (
 // on the simulation goroutine and handed to a SnapshotSink. Readers
 // (the diag server's HTTP handlers) only ever see whole published
 // snapshots through an atomic pointer swap — they never touch the live
-// registry, tracer or span store, which are not safe for concurrent
+// registry or span store, which are not safe for concurrent
 // use. This is the snapshot-publication rule that keeps the simulation
 // deterministic and race-free with a diag server attached.
 type Snapshot struct {
@@ -18,12 +18,11 @@ type Snapshot struct {
 	SimTime units.Time
 	// Metrics is the Prometheus text rendering of the registry.
 	Metrics []byte
-	// Spans is a JSON array of the most recent spans (live view,
-	// including wall stamps).
+	// Spans is a JSON array of the most recent spans and marks (live
+	// view, including wall stamps).
 	Spans []byte
-	// TraceEvents / SpanCount are cheap progress totals for /healthz.
-	TraceEvents int
-	SpanCount   int
+	// SpanCount is a cheap progress total for /healthz.
+	SpanCount int
 }
 
 // SnapshotSink receives published snapshots. Implementations must
@@ -48,12 +47,11 @@ func (t *Telemetry) BuildSnapshot(now units.Time) *Snapshot {
 		_ = t.Registry.WritePrometheus(&metrics)
 	}
 	return &Snapshot{
-		RunID:       t.RunID,
-		SimTime:     now,
-		Metrics:     metrics.Bytes(),
-		Spans:       t.Spans.snapshotJSON(snapshotSpanLimit),
-		TraceEvents: t.Tracer.Len(),
-		SpanCount:   t.Spans.Len(),
+		RunID:     t.RunID,
+		SimTime:   now,
+		Metrics:   metrics.Bytes(),
+		Spans:     t.Spans.snapshotJSON(snapshotSpanLimit),
+		SpanCount: t.Spans.Len(),
 	}
 }
 

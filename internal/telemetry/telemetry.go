@@ -3,25 +3,29 @@
 //
 //   - a metrics Registry of counters, gauges and histograms with a
 //     Prometheus-text exporter, the queryable end-of-run state of a run;
-//   - a Tracer emitting a structured stream of typed events — thermal
-//     warning raise/clear, DRAM derating phase transitions, token-pool
-//     resizes, PIM offload accept/reject, link FLIT backpressure — with
-//     simulated timestamps and a JSONL exporter, the Fig. 8/14-style view
-//     of the closed control loop;
-//   - a Series sampler driven by sim.Engine.Every that records aligned
-//     per-component time series and exports them as CSV;
+//   - a SpanTracer recording one stream per run: the span tree from
+//     "engine.run" down to throttle reactions, plus zero-duration marks
+//     for the closed control loop's instants — thermal warning
+//     raise/clear, DRAM derating phase transitions, token-pool resizes,
+//     link backpressure — with simulated timestamps, a JSONL exporter
+//     and a Chrome/Perfetto exporter (the Fig. 8/14-style view);
 //   - an EngineProfile implementing sim.Observer, aggregating event
-//     counts and wall-clock handler time per component label.
+//     counts and wall-clock handler time per component label;
+//   - a FlightRecorder ring of recent records for crash dumps.
 //
-// The whole layer is opt-in and nil-safe: components hold a *Tracer that
-// may be nil, and every emit method on a nil tracer is a single
+// The run's time series is not recorded here: it is system.Result's
+// Series, sampled whether or not telemetry is on.
+//
+// The whole layer is opt-in and nil-safe: components hold a *SpanTracer
+// that may be nil, and every method on a nil tracer is a single
 // predictable branch with no allocation, so the simulation hot path is
 // unaffected when telemetry is disabled (see the package benchmarks).
 // All recorded data is a pure function of the simulation, so two runs
-// with identical seeds produce byte-identical trace, series and metrics
-// exports — the determinism regression test in internal/system relies
-// on this. Wall-clock profiling data is kept out of those exporters for
-// the same reason (it only appears in the human-readable summary).
+// with identical seeds produce byte-identical span and metrics exports
+// — the determinism regression test in internal/system relies on this.
+// Wall-clock profiling data is kept out of those exporters for the same
+// reason (it only appears in the human-readable summary and the live
+// snapshots).
 package telemetry
 
 import (
@@ -33,18 +37,15 @@ import (
 )
 
 // Telemetry bundles the observability subsystem of one simulation run:
-// one registry, one trace stream, one time-series sampler and one engine
-// profile. A nil *Telemetry means "disabled" throughout the codebase.
+// one registry, one span stream and one engine profile. A nil *Telemetry means "disabled" throughout the codebase.
 // A Telemetry must not be shared between concurrent runs.
 type Telemetry struct {
 	Registry *Registry
-	Tracer   *Tracer
-	Series   *Series
 	Spans    *SpanTracer
 	profile  *EngineProfile
 
-	// Flight, if non-nil, is the crash-evidence ring buffer: the tracer
-	// and span tracer feed it copies of their records and the system
+	// Flight, if non-nil, is the crash-evidence ring buffer: the span
+	// tracer feeds it copies of its records and the system
 	// wiring adds thermal snapshots, so a panicking or wedged run can be
 	// dumped post-mortem (see FlightRecorder). Opt-in; set it before the
 	// run is wired.
@@ -63,8 +64,6 @@ type Telemetry struct {
 func New() *Telemetry {
 	t := &Telemetry{
 		Registry: NewRegistry(),
-		Tracer:   NewTracer(),
-		Series:   NewSeries(),
 		Spans:    NewSpanTracer(),
 		profile:  NewEngineProfile(),
 	}
@@ -169,18 +168,18 @@ func (p *EngineProfile) Stats() []LabelStat {
 	return out
 }
 
-// WriteSummary prints the human-readable end-of-run summary: trace event
-// counts by kind, the engine profile, and every registered metric.
+// WriteSummary prints the human-readable end-of-run summary: span and
+// mark counts by name, the engine profile, and every registered metric.
 func (t *Telemetry) WriteSummary(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	if counts := t.Tracer.CountsByKind(); len(counts) > 0 {
-		fmt.Fprintf(w, "trace events (%d total):\n", t.Tracer.Len())
-		for _, kc := range counts {
-			line := fmt.Sprintf("  %-28s %8d", kc.Kind, kc.Count)
-			if kc.Suppressed > 0 {
-				line += fmt.Sprintf("  (+%d rate-limited)", kc.Suppressed)
+	if counts := t.Spans.CountsByName(); len(counts) > 0 {
+		fmt.Fprintf(w, "spans and marks (%d stored, %d dropped at the cap):\n", t.Spans.Len(), t.Spans.Dropped())
+		for _, c := range counts {
+			line := fmt.Sprintf("  %-28s %8d", c.Name, c.Count)
+			if c.Suppressed > 0 {
+				line += fmt.Sprintf("  (+%d rate-limited)", c.Suppressed)
 			}
 			fmt.Fprintln(w, line)
 		}

@@ -1,13 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
-
-	"coolpim/internal/sim"
-	"coolpim/internal/units"
 )
 
 func TestExponentialBounds(t *testing.T) {
@@ -201,160 +199,6 @@ func TestLabeledFuncMetrics(t *testing.T) {
 	})
 }
 
-func TestTracerKindsAndJSONL(t *testing.T) {
-	tr := NewTracer()
-	tr.PoolInit(0, "sw-ptp", 64)
-	tr.ThermalWarning(10*units.Microsecond, true, 86.2)
-	tr.PhaseTransition(10*units.Microsecond, "Normal", "Extended", 86.2)
-	tr.PoolResize(12*units.Microsecond, "sw-ptp", 64, 58, "warning")
-	tr.OffloadBlock(13*units.Microsecond, false, 3, 41)
-	tr.LinkBackpressure(14*units.Microsecond, 2, 120*units.Nanosecond)
-	tr.ThermalWarning(20*units.Microsecond, false, 84.9)
-	tr.Shutdown(30*units.Microsecond, 105.5)
-
-	if tr.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", tr.Len())
-	}
-	var sb strings.Builder
-	if err := tr.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("got %d JSONL lines, want 8", len(lines))
-	}
-	for _, want := range []string{
-		`{"t_ps":0,"t_ms":0.000000,"kind":"pool.init","mechanism":"sw-ptp","size":64}`,
-		`{"t_ps":10000000,"t_ms":0.010000,"kind":"thermal.warning.raise","temp_c":86.20}`,
-		`"kind":"thermal.phase","from":"Normal","to":"Extended"`,
-		`"kind":"pool.resize","mechanism":"sw-ptp","from":64,"to":58,"reason":"warning"`,
-		`"kind":"offload.reject","sm":3,"block":41`,
-		`"kind":"link.backpressure","link":2,"wait_ns":120.0`,
-		`"kind":"thermal.warning.clear"`,
-		`"kind":"thermal.shutdown","temp_c":105.50`,
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("JSONL missing %q:\n%s", want, sb.String())
-		}
-	}
-	counts := tr.CountsByKind()
-	if len(counts) != 8 {
-		t.Errorf("CountsByKind rows = %d, want 8 distinct kinds", len(counts))
-	}
-}
-
-func TestTracerRateLimit(t *testing.T) {
-	tr := NewTracer()
-	tr.SetMinGap(EvBackpressure, units.Microsecond)
-	for i := 0; i < 10; i++ {
-		tr.LinkBackpressure(units.Time(i)*100*units.Nanosecond, 0, units.Nanosecond)
-	}
-	// Events at 0..900ns: only the first survives a 1us gap.
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 after rate limiting", tr.Len())
-	}
-	tr.LinkBackpressure(2*units.Microsecond, 0, units.Nanosecond)
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after the gap elapses", tr.Len())
-	}
-	counts := tr.CountsByKind()
-	if len(counts) != 1 || counts[0].Suppressed != 9 {
-		t.Fatalf("suppressed = %+v, want 9", counts)
-	}
-	// Other kinds are unaffected.
-	tr.ThermalWarning(0, true, 86)
-	tr.ThermalWarning(1, false, 86)
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (no gap on warnings)", tr.Len())
-	}
-}
-
-func TestTracerCapDropsExcess(t *testing.T) {
-	tr := NewTracer()
-	tr.maxEvents = 3
-	for i := 0; i < 5; i++ {
-		tr.OffloadBlock(units.Time(i), true, 0, i)
-	}
-	if tr.Len() != 3 || tr.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 3/2", tr.Len(), tr.Dropped())
-	}
-}
-
-// TestNilTracerZeroAlloc pins the disabled-telemetry contract: every emit
-// method on a nil tracer (and Observe on a nil histogram) must not
-// allocate, so components can call them unguarded on the hot path.
-func TestNilTracerZeroAlloc(t *testing.T) {
-	var tr *Tracer
-	var h *Histogram
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.ThermalWarning(0, true, 86)
-		tr.PhaseTransition(0, "a", "b", 86)
-		tr.PoolResize(0, "sw-ptp", 4, 3, "warning")
-		tr.OffloadBlock(0, true, 1, 2)
-		tr.LinkBackpressure(0, 0, 1)
-		tr.Shutdown(0, 106)
-		tr.Emit(0, EvPoolInit, "")
-		h.Observe(1.5)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-tracer emits allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestSeriesCadence(t *testing.T) {
-	eng := sim.New()
-	s := NewSeries()
-	var ticks int
-	s.AddColumn("x", func(now units.Time) float64 {
-		ticks++
-		return now.Nanoseconds()
-	})
-	stopAt := 10 * units.Microsecond
-	s.Start(eng, units.Microsecond, func() bool { return eng.Now() >= stopAt })
-	eng.RunUntil(100 * units.Microsecond)
-	// Samples at 1us..10us inclusive: stop is evaluated after recording,
-	// so the 10us sample still lands.
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d, want 10 samples", s.Len())
-	}
-	if ticks != 10 {
-		t.Fatalf("column evaluated %d times, want 10", ticks)
-	}
-	for i := 0; i < s.Len(); i++ {
-		want := float64((i + 1) * 1000) // period in ns
-		if got, ok := s.Value(i, "x"); !ok || got != want {
-			t.Errorf("sample %d = %g (ok=%v), want %g", i, got, ok, want)
-		}
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	s := NewSeries()
-	s.AddColumn("a", func(units.Time) float64 { return 1.5 })
-	s.AddColumn("b", func(units.Time) float64 { return -2 })
-	s.Record(units.Millisecond)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "t_ms,a,b\n1.000000,1.5,-2\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestSeriesAddColumnAfterRecordPanics(t *testing.T) {
-	s := NewSeries()
-	s.AddColumn("a", func(units.Time) float64 { return 0 })
-	s.Record(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddColumn after Record did not panic")
-		}
-	}()
-	s.AddColumn("b", func(units.Time) float64 { return 0 })
-}
-
 func TestEngineProfileAggregates(t *testing.T) {
 	p := NewEngineProfile()
 	p.EventExecuted("hmc", 0, 100)
@@ -375,14 +219,17 @@ func TestEngineProfileAggregates(t *testing.T) {
 
 func TestWriteSummarySmoke(t *testing.T) {
 	tel := New()
-	tel.Tracer.ThermalWarning(0, true, 86)
+	tel.Spans.SetMinGap(tel.Spans.Name("link.backpressure"), 10)
+	tel.Spans.LinkBackpressure(0, 1, 5)
+	tel.Spans.LinkBackpressure(1, 1, 5)
+	tel.Spans.ThermalWarning(0, true, 86)
 	tel.Registry.Counter("x_total", "").Inc()
 	tel.Profile().EventExecuted("hmc", 0, 42)
 	var sb strings.Builder
 	if err := tel.WriteSummary(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"thermal.warning.raise", "hmc", "x_total"} {
+	for _, want := range []string{"thermal.warning.raise", "(+1 rate-limited)", "hmc", "x_total"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, sb.String())
 		}
@@ -394,5 +241,70 @@ func TestWriteSummarySmoke(t *testing.T) {
 	}
 	if nilTel.Enabled() {
 		t.Error("nil hub reports enabled")
+	}
+}
+
+// TestHelpEscaping is the S1 regression: HELP text containing
+// backslashes or newlines must be escaped per the Prometheus text
+// exposition format, or a multiline help string corrupts the whole
+// exposition (the continuation line parses as a bogus sample).
+func TestHelpEscaping(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c_total", "first line\nsecond line with a \\ backslash")
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	want := `# HELP c_total first line\nsecond line with a \\ backslash` + "\n"
+	if !strings.Contains(out, want) {
+		t.Fatalf("HELP not escaped:\n%s", out)
+	}
+	// Every line must be a comment or a sample — an unescaped newline
+	// would have produced a bare "second line..." line.
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "c_total") {
+			t.Fatalf("stray exposition line %q:\n%s", line, out)
+		}
+	}
+}
+
+// TestQuantileEdges pins Histogram.Quantile at the boundaries the
+// interpolation code special-cases: q=0, q=1, and mass in the +Inf
+// bucket beyond the last finite bound.
+func TestQuantileEdges(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("q_edges", "test", LinearBounds(10, 10, 10)) // 10..100
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i))
+	}
+	if got := h.Quantile(0); got != 0 {
+		t.Errorf("Quantile(0) = %g, want 0 (interpolates from the first bucket's lower edge)", got)
+	}
+	if got := h.Quantile(1); got != 100 {
+		t.Errorf("Quantile(1) = %g, want 100", got)
+	}
+	// Out-of-range q clamps rather than extrapolating.
+	if got := h.Quantile(-0.5); got != h.Quantile(0) {
+		t.Errorf("Quantile(-0.5) = %g, want clamp to Quantile(0)", got)
+	}
+	if got := h.Quantile(2); got != h.Quantile(1) {
+		t.Errorf("Quantile(2) = %g, want clamp to Quantile(1)", got)
+	}
+
+	// All mass beyond the last finite bound: every quantile clamps to it.
+	h2 := reg.Histogram("q_inf", "test", LinearBounds(10, 10, 2)) // 10, 20
+	h2.Observe(1e9)
+	h2.Observe(1e9)
+	for _, q := range []float64{0.01, 0.5, 1} {
+		if got := h2.Quantile(q); got != 20 {
+			t.Errorf("Quantile(%g) with +Inf mass = %g, want clamp to 20", q, got)
+		}
+	}
+
+	// Empty histogram has no quantiles.
+	h3 := reg.Histogram("q_empty", "test", LinearBounds(10, 10, 2))
+	if got := h3.Quantile(0.5); !math.IsNaN(got) {
+		t.Errorf("Quantile on empty histogram = %g, want NaN", got)
 	}
 }

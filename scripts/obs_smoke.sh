@@ -2,8 +2,9 @@
 # obs_smoke.sh — end-to-end guard on the live observability plane.
 #
 # Runs a short simulation with the diagnostics HTTP server attached and
-# held open, fetches /metrics, /healthz and /spans while it is up, and
-# validates the run's Chrome trace export as trace_event JSON. Uses
+# held open, fetches /metrics, /healthz and /spans while it is up, checks
+# that the span export carries marks, and validates the run's Chrome
+# trace export as trace_event JSON. Uses
 # cmd/coolpim-trace as the HTTP client and the JSON validator so the
 # test needs nothing beyond the Go toolchain.
 #
@@ -21,7 +22,7 @@ $GO build -o bin/coolpim-trace ./cmd/coolpim-trace
 # run so the endpoint fetches below cannot race run completion.
 bin/coolpim-sim -workload dc -policy coolpim-hw -scale 12 -reps 1 \
     -diag-addr 127.0.0.1:0 -diag-hold 60s \
-    -trace-out "$OUT/trace.jsonl" -spans-out "$OUT/spans.jsonl" \
+    -spans-out "$OUT/spans.jsonl" \
     -trace-chrome "$OUT/trace.json" -flight-out "$OUT/ring.flight.jsonl" \
     >"$OUT/sim.log" 2>&1 &
 SIM_PID=$!
@@ -56,15 +57,21 @@ bin/coolpim-trace -get "http://$ADDR/spans" | grep -q '"name":"thermal.tick"' \
     || { echo "obs-smoke: /spans missing thermal.tick spans"; exit 1; }
 grep -q '"name":"engine.run"' "$OUT/spans.jsonl" \
     || { echo "obs-smoke: spans export missing engine.run root"; exit 1; }
+# The CoolPIM-HW policy records its initial pool size as a mark at t=0.
+grep -q '^{"parent":[0-9]*,"name":"pool.init","t_ps":0,"args":{' "$OUT/spans.jsonl" \
+    || { echo "obs-smoke: spans export missing the pool.init mark"; exit 1; }
 
 kill $SIM_PID 2>/dev/null || true
 wait $SIM_PID 2>/dev/null || true
 trap - EXIT INT TERM
 
 # Offline artifacts: the Chrome export must validate as trace_event
-# JSON, and converting the JSONL exports must agree with it.
+# JSON and render marks as instants, and converting the span export must
+# agree with it.
 bin/coolpim-trace -check "$OUT/trace.json"
-bin/coolpim-trace -events "$OUT/trace.jsonl" -spans "$OUT/spans.jsonl" -out "$OUT/trace2.json"
+grep -q '"ph":"i"' "$OUT/trace.json" \
+    || { echo "obs-smoke: Chrome export holds no instant (mark) events"; exit 1; }
+bin/coolpim-trace -spans "$OUT/spans.jsonl" -out "$OUT/trace2.json"
 cmp "$OUT/trace.json" "$OUT/trace2.json" \
     || { echo "obs-smoke: converter disagrees with the sim's own Chrome export"; exit 1; }
 [ -s "$OUT/ring.flight.jsonl" ] || { echo "obs-smoke: empty flight ring dump"; exit 1; }
